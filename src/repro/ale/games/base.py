@@ -9,6 +9,7 @@ the real pipeline).
 
 from __future__ import annotations
 
+import copy
 import typing
 
 import numpy as np
@@ -26,6 +27,9 @@ ALE_ACTIONS = (
     "UPFIRE", "RIGHTFIRE", "LEFTFIRE", "DOWNFIRE",
     "UPRIGHTFIRE", "UPLEFTFIRE", "DOWNRIGHTFIRE", "DOWNLEFTFIRE",
 )
+
+#: Attributes that are not game state: rendering never reads them.
+_NOT_STATE = ("screen", "rng", "action_space", "observation_space")
 
 
 class Screen:
@@ -62,7 +66,10 @@ class AtariGame(Env):
     Subclasses set :attr:`ACTION_MEANINGS` (their minimal action set) and
     implement :meth:`_reset_game`, :meth:`_step_frame` and :meth:`_render`.
     The base class handles scoring, lives, the observation/action spaces and
-    the gym-style protocol.
+    the gym-style protocol.  :meth:`step` is :meth:`advance` (emulate one
+    frame) followed by :meth:`observe` (render it), so a caller that
+    discards frames can skip their rendering; ``_render`` must read only
+    game state, never the RNG.
     """
 
     #: Minimal action set (subset of :data:`ALE_ACTIONS`); set by subclass.
@@ -118,10 +125,18 @@ class AtariGame(Env):
         self.frame = 0
         self._game_over = False
         self._reset_game()
-        self._render()
-        return self.screen.copy()
+        return self.observe()
 
     def step(self, action: int):
+        reward, done, info = self.advance(action)
+        return self.observe(), reward, done, info
+
+    def advance(self, action: int) -> typing.Tuple[float, bool, dict]:
+        """Advance the game one frame without drawing it.
+
+        Returns ``(reward, done, info)``: :meth:`step` without the
+        observation, which :meth:`observe` renders on demand.
+        """
         if self._game_over:
             raise RuntimeError("step() called on a finished game; "
                                "call reset()")
@@ -134,9 +149,35 @@ class AtariGame(Env):
         self.score += reward
         if self.lives <= 0 or self.frame >= self.MAX_FRAMES:
             self._game_over = True
+        return reward, self._game_over, {"lives": self.lives,
+                                         "score": self.score}
+
+    def observe(self) -> np.ndarray:
+        """Render the current state; a copy of the screen."""
         self._render()
-        info = {"lives": self.lives, "score": self.score}
-        return self.screen.copy(), reward, self._game_over, info
+        return self.screen.copy()
+
+    def save_state(self) -> dict:
+        """A deep copy of everything :meth:`_render` may read.
+
+        That is every attribute but the screen, the RNG, the spaces and
+        callables set on the instance (wrappers that time or trace a
+        method): a frame is a function of the game state alone, so
+        :meth:`observe_saved` can draw it after the game has moved on.
+        """
+        state = {name: value for name, value in vars(self).items()
+                 if name not in _NOT_STATE and not callable(value)}
+        return copy.deepcopy(state)
+
+    def observe_saved(self, state: dict) -> np.ndarray:
+        """The frame :meth:`observe` would have returned when ``state``
+        was saved.  Draws on a screen of its own, with the class's
+        ``_render`` rather than any wrapper set on this instance."""
+        saved = object.__new__(type(self))
+        vars(saved).update(state)
+        saved.screen = Screen()
+        type(self)._render(saved)
+        return saved.screen.pixels
 
     @property
     def game_over(self) -> bool:

@@ -75,8 +75,8 @@ class A3CAgent:
 
         ``lat`` is an optional :class:`repro.obs.lat.RoutineLatency`;
         when present the routine's phases are attributed to its
-        ``param_sync`` / ``infer`` / ``batch_form`` / ``train``
-        segments (environment stepping lands in ``other``).
+        ``param_sync`` / ``infer`` / ``env_step`` / ``batch_form`` /
+        ``train`` segments.
         """
         timed = lat is not None
         phase_started = time.perf_counter_ns() if timed else 0
@@ -95,7 +95,11 @@ class A3CAgent:
             if timed:
                 lat.add_ns("infer",
                            time.perf_counter_ns() - phase_started)
+                phase_started = time.perf_counter_ns()
             obs, reward, done, info = self.env.step(action)
+            if timed:
+                lat.add_ns("env_step",
+                           time.perf_counter_ns() - phase_started)
             self._episode_score += info.get("raw_reward", reward)
             self.rollout.add(state, action, reward, value)
             self._state = obs
@@ -109,7 +113,12 @@ class A3CAgent:
                     scores.append(self._episode_score)
                     self.episodes_finished += 1
                     self._episode_score = 0.0
+                if timed:
+                    phase_started = time.perf_counter_ns()
                 self._state = self.env.reset()
+                if timed:
+                    lat.add_ns("env_step",
+                               time.perf_counter_ns() - phase_started)
                 break
 
         steps = len(self.rollout)

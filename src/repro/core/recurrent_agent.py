@@ -75,7 +75,12 @@ class RecurrentA3CAgent:
                            time.perf_counter_ns() - phase_started)
             probs = softmax(logits[0])
             action = int(self.rng.choice(len(probs), p=probs))
+            if timed:
+                phase_started = time.perf_counter_ns()
             obs, reward, done, info = self.env.step(action)
+            if timed:
+                lat.add_ns("env_step",
+                           time.perf_counter_ns() - phase_started)
             self._episode_score += info.get("raw_reward", reward)
             self.rollout.add(self._state, action, reward,
                              float(values[0]))
@@ -86,7 +91,12 @@ class RecurrentA3CAgent:
                     scores.append(self._episode_score)
                     self.episodes_finished += 1
                     self._episode_score = 0.0
+                if timed:
+                    phase_started = time.perf_counter_ns()
                 self._state = self.env.reset()
+                if timed:
+                    lat.add_ns("env_step",
+                               time.perf_counter_ns() - phase_started)
                 self._carry = self.network.initial_state()
                 break
 

@@ -21,59 +21,10 @@ import typing
 
 import numpy as np
 
-from repro.envs.preprocessing import _LUMA
+from repro.envs.preprocessing import BatchPreprocessor
 from repro.envs.spaces import Box
 from repro.envs.vector import VectorStep
 from repro.perf.hotpath import hot_path
-
-
-class BatchPreprocessor:
-    """Batched grayscale + bilinear resize + [0, 1] scaling.
-
-    Bit-identical per slot to
-    :func:`repro.envs.preprocessing.preprocess_frame`: the gather indices
-    and float32 weights are precomputed once, and the multiply/add order
-    matches :func:`~repro.envs.preprocessing.bilinear_resize` exactly.
-    """
-
-    def __init__(self, in_height: int, in_width: int,
-                 out_height: int, out_width: int):
-        self.out_shape = (out_height, out_width)
-        self._identity = (in_height, in_width) == (out_height, out_width)
-        if self._identity:
-            return
-        row_pos = (np.arange(out_height) + 0.5) * (in_height / out_height) \
-            - 0.5
-        col_pos = (np.arange(out_width) + 0.5) * (in_width / out_width) \
-            - 0.5
-        row_pos = np.clip(row_pos, 0, in_height - 1)
-        col_pos = np.clip(col_pos, 0, in_width - 1)
-        r0 = np.floor(row_pos).astype(np.intp)
-        c0 = np.floor(col_pos).astype(np.intp)
-        self._r0 = r0
-        self._c0 = c0
-        self._r1 = np.minimum(r0 + 1, in_height - 1)
-        self._c1 = np.minimum(c0 + 1, in_width - 1)
-        wr = (row_pos - r0).astype(np.float32)
-        wc = (col_pos - c0).astype(np.float32)
-        self._wr = wr[None, :, None]
-        self._wc = wc[None, None, :]
-        self._omwr = 1 - self._wr
-        self._omwc = 1 - self._wc
-
-    @hot_path
-    def __call__(self, frames: np.ndarray) -> np.ndarray:
-        """Process ``(N, H, W, 3)`` uint8 frames to ``(N, out_h, out_w)``
-        float32 in [0, 1]."""
-        gray = frames.astype(np.float32) @ _LUMA
-        if self._identity:
-            return gray / 255.0
-        g0 = gray[:, self._r0]
-        g1 = gray[:, self._r1]
-        top = g0[:, :, self._c0] * self._omwc + g0[:, :, self._c1] * self._wc
-        bottom = g1[:, :, self._c0] * self._omwc + \
-            g1[:, :, self._c1] * self._wc
-        return (top * self._omwr + bottom * self._wr) / 255.0
 
 
 class BatchedVectorEnv:

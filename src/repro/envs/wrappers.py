@@ -21,20 +21,35 @@ import typing
 import numpy as np
 
 from repro.envs.base import Env, TimeLimit, Wrapper
-from repro.envs.preprocessing import preprocess_frame
+from repro.envs.preprocessing import BatchPreprocessor
 from repro.envs.spaces import Box
 
 
 class MaxAndSkip(Wrapper):
-    """Repeat the action ``skip`` frames; observe the max of the last two."""
+    """Repeat the action ``skip`` frames; observe the max of the last two.
+
+    Wrapped directly around an :class:`~repro.ale.games.base.AtariGame`,
+    it renders only the frames it takes the max of: the others are
+    emulated with ``advance``.  A game that ends early in the cycle shows
+    the agent its last two frames, the first of which was not rendered;
+    that frame is drawn from a copy of the game state saved before the
+    frame after it.  Rendering reads game state and never the RNG, so
+    the observations are the same as rendering every frame.
+    """
 
     def __init__(self, env: Env, skip: int = 4):
         super().__init__(env)
         if skip < 1:
             raise ValueError(f"skip must be >= 1, got {skip}")
         self.skip = skip
+        # Imported here: repro.ale builds on repro.envs, so a module-level
+        # import would be circular.
+        from repro.ale.games.base import AtariGame
+        self._game = env if isinstance(env, AtariGame) else None
 
     def step(self, action: int):
+        if self._game is not None:
+            return self._step_game(action)
         total_reward = 0.0
         done = False
         info: dict = {}
@@ -49,6 +64,35 @@ class MaxAndSkip(Wrapper):
             obs = np.maximum(frames[-1], frames[-2])
         else:
             obs = frames[-1]
+        return obs, total_reward, done, info
+
+    def _step_game(self, action: int):
+        game = self._game
+        first_seen = self.skip - 2
+        total_reward = 0.0
+        saved = None
+        frames: typing.List[np.ndarray] = []
+        for index in range(self.skip):
+            if 0 < index <= first_seen:
+                # Frame index-1 was not rendered: keep its state in case
+                # this frame ends the game.
+                saved = game.save_state()
+            if index >= first_seen:
+                obs, reward, done, info = game.step(action)
+                frames.append(obs)
+            else:
+                reward, done, info = game.advance(action)
+                if done:
+                    frames.append(game.observe())
+            total_reward += reward
+            if done:
+                break
+        if len(frames) == 2:
+            obs = np.maximum(frames[0], frames[1])
+        elif index > 0:
+            obs = np.maximum(game.observe_saved(saved), frames[0])
+        else:
+            obs = frames[0]
         return obs, total_reward, done, info
 
 
@@ -93,16 +137,19 @@ class EpisodicLife(Wrapper):
 
 
 class AtariPreprocessing(Wrapper):
-    """Grayscale + resize each frame to ``(height, width)`` in [0, 1]."""
+    """Grayscale + resize each ``(H, W, 3)`` frame to ``(height, width)``
+    in [0, 1]."""
 
     def __init__(self, env: Env, height: int = 84, width: int = 84):
         super().__init__(env)
         self.height = height
         self.width = width
+        in_height, in_width, _ = env.observation_space.shape
+        self._pre = BatchPreprocessor(in_height, in_width, height, width)
         self.observation_space = Box(0.0, 1.0, (height, width))
 
     def _process(self, frame: np.ndarray) -> np.ndarray:
-        return preprocess_frame(frame, self.height, self.width)
+        return self._pre(frame[None])[0]
 
     def reset(self) -> np.ndarray:
         return self._process(self.env.reset())

@@ -151,6 +151,11 @@ class Sequential:
         for layer in self.layers:
             shape = layer.output_shape(shape)
             self._shapes.append(shape)
+        # The backward pass ends at the first parameterised layer: the
+        # gradient w.r.t. the network input is never used.
+        self._first_trained = next(
+            (index for index, layer in enumerate(self.layers)
+             if layer.param_shapes()), len(self.layers))
 
     @property
     def output_shape(self) -> Shape:
@@ -181,17 +186,21 @@ class Sequential:
         return x
 
     def backward_and_grads(self, dy: np.ndarray, params: ParameterSet
-                           ) -> typing.Tuple[np.ndarray, ParameterSet]:
+                           ) -> ParameterSet:
         """Run GC then BW per layer from last to first (paper Section 4.3).
 
-        Returns the gradient w.r.t. the network input and the parameter
-        gradients.
+        Stops after the GC stage of the first parameterised layer: like
+        the FPGA schedule, it never computes the gradient w.r.t. the
+        network input.  Returns the parameter gradients.
         """
         grads = ParameterSet()
-        for layer in reversed(self.layers):
+        stop = self._first_trained
+        for index in range(len(self.layers) - 1, stop - 1, -1):
+            layer = self.layers[index]
             layer.grad_params(dy, grads)
-            dy = layer.backward_input(dy, params)
-        return dy, grads
+            if index > stop:
+                dy = layer.backward_input(dy, params)
+        return grads
 
     def topology(self) -> NetworkTopology:
         """Hardware-facing description of the parameterised layers."""
@@ -288,8 +297,7 @@ class A3CNetwork:
         dy = np.zeros((n, self.fc4_width), dtype=np.float32)
         dy[:, :self.num_actions] = dlogits
         dy[:, self.num_actions] = dvalues
-        _, grads = self.model.backward_and_grads(dy, params)
-        return grads
+        return self.model.backward_and_grads(dy, params)
 
     def topology(self) -> NetworkTopology:
         """Table 1 description for the hardware models."""
@@ -339,8 +347,7 @@ class MLPPolicyNetwork:
         dy = np.zeros((n, self.num_actions + 1), dtype=np.float32)
         dy[:, :self.num_actions] = dlogits
         dy[:, self.num_actions] = dvalues
-        _, grads = self.model.backward_and_grads(dy, params)
-        return grads
+        return self.model.backward_and_grads(dy, params)
 
     def topology(self) -> NetworkTopology:
         return self.model.topology()

@@ -58,6 +58,9 @@ class RMSProp(Optimizer):
         self.rho = rho
         self.eps = eps
         self._g: typing.Optional[ParameterSet] = None
+        #: Per-parameter scratch pairs, allocated on first use.
+        self._scratch: typing.Dict[
+            str, typing.Tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def statistics(self) -> typing.Optional[ParameterSet]:
@@ -82,11 +85,29 @@ class RMSProp(Optimizer):
         if self._g is None:
             self.attach(params)
         g = self._g
+        decay = 1.0 - self.rho
         for name in grads:
             grad = grads[name]
-            g[name] *= self.rho
-            g[name] += (1.0 - self.rho) * grad * grad
-            params[name] -= lr * grad / np.sqrt(g[name] + self.eps)
+            stat = g[name]
+            scratch = self._scratch.get(name)
+            if scratch is None:
+                scratch = (np.empty_like(stat), np.empty_like(stat))
+                self._scratch[name] = scratch
+            delta, root = scratch
+            # In place, in the operation order of
+            #   g     = rho * g + ((1 - rho) * grad) * grad
+            #   theta = theta - (lr * grad) / sqrt(g + eps)
+            # so results stay bit-identical to the expression form.  g is
+            # never rebound: it may be a shared-memory view.
+            np.multiply(decay, grad, out=delta)
+            delta *= grad
+            stat *= self.rho
+            stat += delta
+            np.add(stat, self.eps, out=root)
+            np.sqrt(root, out=root)
+            np.multiply(lr, grad, out=delta)
+            delta /= root
+            params[name] -= delta
 
 
 class SharedRMSProp(RMSProp):

@@ -21,9 +21,9 @@ measures.  It provides:
   monitor (:mod:`repro.obs.runlog`, :mod:`repro.obs.health` — loaded
   lazily);
 * per-routine latency decomposition (``queue_wait`` / ``batch_form`` /
-  ``infer`` / ``train`` / ``param_sync``) with a sum-to-total invariant
-  and a critical-path extractor over recorded spans
-  (:mod:`repro.obs.lat` — loaded lazily);
+  ``infer`` / ``env_step`` / ``train`` / ``param_sync``) with a
+  sum-to-total invariant and a critical-path extractor over recorded
+  spans (:mod:`repro.obs.lat` — loaded lazily);
 * cycle-attribution profiling, folded-stack export and the perf-baseline
   gate (:mod:`repro.obs.prof` — loaded lazily, because the platform
   models it analyses themselves import this package).

@@ -7,11 +7,11 @@ that trade measurable end to end:
 
 * :class:`RoutineLatency` — one routine's end-to-end latency decomposed
   into named segments (``queue_wait``, ``batch_form``, ``infer``,
-  ``train``, ``param_sync``), recorded as integer nanoseconds so the
-  segments-sum-to-total invariant is *exact* (mirroring the attribution
-  profiler's cycles invariant).  Whatever no segment claims lands in
-  ``other``, and a negative remainder — overlapping segment timers —
-  fails loudly via :class:`LatencyError`.
+  ``env_step``, ``train``, ``param_sync``), recorded as integer
+  nanoseconds so the segments-sum-to-total invariant is *exact*
+  (mirroring the attribution profiler's cycles invariant).  Whatever no
+  segment claims lands in ``other``, and a negative remainder —
+  overlapping segment timers — fails loudly via :class:`LatencyError`.
 * :func:`validate_rows` — checks the invariant over snapshot rows, so
   it survives cross-process folds.
 * :func:`critical_path_rows` — the longest nested-span chain per lane
@@ -45,7 +45,7 @@ ROUTINE_SECONDS = "lat.routine_seconds"
 OTHER = "other"
 
 #: The named segments trainers record, in report order.
-SEGMENTS = ("queue_wait", "batch_form", "infer", "train",
+SEGMENTS = ("queue_wait", "batch_form", "infer", "env_step", "train",
             "param_sync", OTHER)
 
 

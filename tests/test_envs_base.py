@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from repro.ale import make_game
 from repro.envs import (
     Box,
     CartPole,
@@ -16,6 +17,7 @@ from repro.envs import (
     rgb_to_grayscale,
 )
 from repro.envs.preprocessing import preprocess_frame
+from repro.envs.wrappers import AtariPreprocessing
 
 
 class TestDiscrete:
@@ -205,6 +207,49 @@ class TestPreprocessing:
         expected = np.clip((np.arange(31) + 0.5) * (16 / 31) - 0.5,
                            0.0, 15.0)
         np.testing.assert_allclose(out[0], expected, atol=1e-4)
+
+    @staticmethod
+    def _reference_resize(image, out_height, out_width):
+        """Per-image bilinear resize that derives its gather indices and
+        weights on every call: the reference the shared
+        ``BatchPreprocessor`` must match bit for bit."""
+        in_h, in_w = image.shape
+        image = image.astype(np.float32)
+        row_pos = (np.arange(out_height) + 0.5) * (in_h / out_height) - 0.5
+        col_pos = (np.arange(out_width) + 0.5) * (in_w / out_width) - 0.5
+        row_pos = np.clip(row_pos, 0, in_h - 1)
+        col_pos = np.clip(col_pos, 0, in_w - 1)
+        r0 = np.floor(row_pos).astype(np.intp)
+        c0 = np.floor(col_pos).astype(np.intp)
+        r1 = np.minimum(r0 + 1, in_h - 1)
+        c1 = np.minimum(c0 + 1, in_w - 1)
+        wr = (row_pos - r0).astype(np.float32)[:, None]
+        wc = (col_pos - c0).astype(np.float32)[None, :]
+        top = image[r0][:, c0] * (1 - wc) + image[r0][:, c1] * wc
+        bottom = image[r1][:, c0] * (1 - wc) + image[r1][:, c1] * wc
+        return top * (1 - wr) + bottom * wr
+
+    @pytest.mark.parametrize("shape", [(210, 160, 84, 84), (21, 17, 9, 13),
+                                       (4, 16, 4, 31)])
+    def test_resize_bit_identical_to_reference(self, shape):
+        in_h, in_w, out_h, out_w = shape
+        image = np.random.default_rng(3).random((in_h, in_w)) * 255
+        got = bilinear_resize(image, out_h, out_w)
+        want = self._reference_resize(image, out_h, out_w)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_atari_preprocessing_bit_identical_on_breakout(self):
+        game = make_game("breakout")
+        game.seed(4)
+        env = AtariPreprocessing(game)
+        frames = [game.reset()]
+        for _ in range(30):
+            frames.append(game.step(1)[0])
+        for frame in frames:
+            want = self._reference_resize(rgb_to_grayscale(frame), 84, 84)
+            got = env._process(frame)
+            assert np.array_equal(got.view(np.uint32),
+                                  (want / 255.0).view(np.uint32))
 
     def test_preprocess_frame_scales_to_unit(self):
         frame = np.full((210, 160, 3), 255, dtype=np.uint8)

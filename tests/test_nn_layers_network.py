@@ -86,8 +86,7 @@ class TestSequential:
             return float((y * target).sum())
 
         loss()  # populate caches
-        _, grads = model.backward_and_grads(
-            target.astype(np.float32), params)
+        grads = model.backward_and_grads(target.astype(np.float32), params)
         for name in params:
             params[name] = params[name].astype(np.float64)
         check_param_gradients(loss, params, grads, eps=1e-4)

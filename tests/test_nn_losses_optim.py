@@ -179,3 +179,74 @@ class TestOptimizers:
             grads = ParameterSet({"x": 2.0 * params["x"]})
             opt.step(params, grads)
         assert float(params["x"][0] ** 2) < start_loss * 0.01
+
+
+class TestRMSPropInPlace:
+    """The in-place RMSProp against the expression form it replaced."""
+
+    RHO, EPS = 0.99, 0.1
+
+    def _sets(self, rng, scale=1.0):
+        shapes = {"conv.weight": (16, 4, 8, 8), "conv.bias": (16,),
+                  "fc.weight": (64, 300)}
+        return ParameterSet({
+            name: (scale * rng.standard_normal(shape)).astype(np.float32)
+            for name, shape in shapes.items()})
+
+    def _reference_step(self, params, g, grads, lr):
+        # The expression form: every intermediate a fresh fp32 array.
+        for name in grads:
+            grad = grads[name]
+            g[name] *= self.RHO
+            g[name] += (1.0 - self.RHO) * grad * grad
+            params[name] -= lr * grad / np.sqrt(g[name] + self.EPS)
+
+    def test_steps_bit_identical_to_expression(self):
+        rng = np.random.default_rng(5)
+        params = self._sets(rng)
+        expected = params.copy()
+        g_expected = params.zeros_like()
+        opt = RMSProp(learning_rate=7e-4, rho=self.RHO, eps=self.EPS)
+        for step, lr in enumerate((7e-4, 6.9e-4, 3e-4, 1e-5, 0.0, 2e-3)):
+            grads = self._sets(rng, scale=10.0 ** (step % 3 - 1))
+            opt.step(params, grads, learning_rate=lr)
+            self._reference_step(expected, g_expected, grads, lr)
+            for name in params:
+                assert np.array_equal(params[name].view(np.uint32),
+                                      expected[name].view(np.uint32))
+                assert np.array_equal(
+                    opt.statistics[name].view(np.uint32),
+                    g_expected[name].view(np.uint32))
+
+    def test_statistics_arrays_keep_identity(self):
+        rng = np.random.default_rng(6)
+        params = self._sets(rng)
+        shared = params.zeros_like()
+        arrays = {name: shared[name] for name in shared}
+        opt = RMSProp()
+        opt.adopt_statistics(shared)
+        for _ in range(3):
+            opt.step(params, self._sets(rng))
+        for name, array in arrays.items():
+            assert opt.statistics[name] is array
+            assert (array > 0).all()
+
+    def test_no_parameter_sized_allocation_after_first_step(self):
+        import tracemalloc
+        rng = np.random.default_rng(7)
+        params = self._sets(rng)
+        grads = self._sets(rng)
+        opt = RMSProp()
+        opt.step(params, grads)
+        smallest = min(params[name].nbytes for name in params
+                       if params[name].size > 1000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                opt.step(params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < smallest // 4

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.ale import make_game
 from repro.core import A3CConfig, A3CTrainer, GA3CTrainer, PAACTrainer
+from repro.envs import make_atari_env
 from repro.envs.base import Env
 from repro.envs.spaces import Box, Discrete
-from repro.nn.network import MLPPolicyNetwork
+from repro.nn.network import A3CNetwork, MLPPolicyNetwork
 from repro.obs import lat, report
 from repro.obs.registry import (
     HDR_SUBBUCKETS,
@@ -214,6 +216,20 @@ class TestTrainerInvariant:
                     if r["name"] == lat.SEGMENT_NS}
         assert {"param_sync", "infer", "batch_form",
                 "train"} <= segments
+
+    def test_a3c_breakout_names_env_stepping(self):
+        """Env stepping is its own segment, so little is left unnamed."""
+        actions = make_game("breakout").action_space.n
+        with obs.enabled_scope():
+            A3CTrainer(lambda i: make_atari_env(make_game("breakout")),
+                       lambda: A3CNetwork(actions),
+                       self._config(t_max=5, max_steps=80)).train(
+                           actors="serial")
+            rows = self._validate_live()
+        shares = {row["segment"]: float(row["share"])
+                  for row in report.latency_rows(rows)}
+        assert shares["env_step"] > 0.1
+        assert shares["other"] < 0.1
 
     def test_a3c_threads_record_exact_segments(self):
         with obs.enabled_scope():
