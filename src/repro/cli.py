@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-import warnings
 
 from repro.ale import GAME_NAMES, make_game
 from repro.core import A3CConfig, A3CTrainer, RecurrentA3CAgent
@@ -92,14 +91,6 @@ def cmd_train(args) -> int:
     trainer = _build_trainer(args)
     variant = "A3C-LSTM" if args.lstm else "A3C"
     actors = args.actors
-    if args.backend is not None:
-        warnings.warn("--backend is deprecated; use --actors (the "
-                      "'backend' name now means the compute platform — "
-                      "see --platform)", DeprecationWarning, stacklevel=2)
-        print("note: --backend is deprecated, use --actors",
-              file=sys.stderr)
-        if actors is None:
-            actors = args.backend
     if actors is None and args.serial:
         actors = "serial"
     runlog = _open_runlog(
@@ -799,11 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="actor execution model (default: threads, "
                             "or serial when --serial is given)")
-    # Deprecated alias of --actors, kept for old scripts; hidden so the
-    # name no longer collides with the compute-backend registry.
-    train.add_argument("--backend",
-                       choices=["threads", "procs", "serial"],
-                       default=None, help=argparse.SUPPRESS)
     train.add_argument("--platform", choices=backend_names,
                        default=None,
                        help="compute backend from the repro.backends "

@@ -4,14 +4,13 @@ A :class:`~repro.perf.stageplan.StagePlan` is pure data shared by every
 simulator instance; a :class:`BoundStage` is that plan *bound* to one
 :class:`~repro.fpga.simloop.FPGASim` — channel resources resolved to the
 sim's CU pair, attribution counter cells pre-resolved lazily so the
-fast-path replay increments cells instead of re-sorting label dicts per
-stage.  :class:`BoundTask` caches a whole task's bound stages plus its
-PCIe bookends.
+replay increments cells instead of re-sorting label dicts per stage.
+:class:`BoundTask` caches a whole task's bound stages plus its PCIe
+bookends.
 
-Both classes record *exactly* the integer arithmetic of the derivation
-path in :mod:`repro.fpga.simloop` (``_count_dma`` + ``_record_stage``):
-the perf gate and the fast/legacy equivalence tests assert bit-identical
-attribution.
+The cycle attribution and DRAM byte/burst counts both classes record are
+pinned at zero tolerance by ``tests/test_sim_golden.py``, against data
+recorded from a per-task derivation of every stage.
 """
 
 from __future__ import annotations
@@ -88,8 +87,14 @@ class BoundStage:
         return cells
 
     def record(self, metrics, elapsed: float) -> None:
-        """Fast-path equivalent of ``_count_dma`` + ``_record_stage``:
-        identical integer arithmetic, pre-resolved label keys."""
+        """Count one executed stage's DMA traffic and attribute its
+        cycles to cause buckets.
+
+        The simulated duration is snapped to integer cycles (DMA burst
+        times are fractional-cycle at the modelled efficiency) and split
+        as :func:`repro.obs.prof.buckets.fpga_stage_buckets` splits it,
+        with pre-resolved label keys.  The total counter gets the bucket
+        sum, so buckets sum to the total exactly."""
         cells = self._cells
         if cells is None or cells[0] is not metrics:
             cells = self._build_cells(metrics)

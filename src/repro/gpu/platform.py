@@ -27,7 +27,6 @@ from repro.gpu.specs import P100, XEON_E5_2630_PAIR, GPUSpec, HostSpec
 from repro.nn.network import NetworkTopology
 from repro.obs import runtime as _obs
 from repro.obs.prof import buckets as _prof
-from repro.perf import runtime as _fast
 from repro.perf.hotpath import hot_path
 from repro.sim import Engine, Resource, Store
 from repro.sim.events import Event
@@ -68,8 +67,7 @@ class _GPUPlatformBase:
         # (kind, task, batch) -> seconds / buckets.  Latencies are pure
         # functions of (topology, calibration, batch), all fixed at
         # construction (GPUCalibration is frozen), so memoizing them is
-        # value-preserving; the fast-path switch gates it only so
-        # REPRO_FASTPATH=0 measures the true re-deriving cost.
+        # value-preserving.
         self._task_cache: typing.Dict[tuple, typing.Any] = {}
 
     # Per-platform multipliers (TensorFlow adds overheads).
@@ -188,11 +186,9 @@ class _GPUPlatformBase:
         that override a latency model are still honoured.  The entry is
         built with collection suspended (the build's own per-kernel
         recordings happen exactly once otherwise) and the cached
-        observation rows are replayed per call instead, so the metrics
-        a run collects are identical on both paths.
+        observation rows are replayed per call instead, so every call
+        records what an unmemoized one would.
         """
-        if not _fast.enabled():
-            return self._build_seconds(task, batch)
         key = ("seconds", task, batch)
         entry = self._task_cache.get(key)
         if entry is None:
@@ -216,8 +212,6 @@ class _GPUPlatformBase:
         (callers annotate the dict in place).  Bucket builders use
         :meth:`KernelCostModel.sequence_buckets`, which records nothing,
         so no replay is needed here."""
-        if not _fast.enabled():
-            return self._build_buckets(task, batch)
         key = ("buckets", task, batch)
         value = self._task_cache.get(key)
         if value is None:
@@ -590,11 +584,14 @@ class _GA3CAgentChain(_AgentChainBase):
 
 
 class _GA3CPredictorChain:
-    """Callback-compiled predictor server (fast-path GA3CSim only).
+    """GA3C's predictor server as a callback chain.
 
-    State-for-state replica of :meth:`GA3CSim._predictor`: same events,
-    created at the same execution points, so batching behaviour and
-    modelled times are bit-identical to the generator.
+    Blocks on the first queued request, drains up to
+    ``max_prediction_batch - 1`` more, pays the per-request Python-side
+    handling (dequeue, batch assembly, result scatter) serialised in the
+    predictor thread, runs one batched inference on the device, and
+    replies to every request.  The events match a generator server's
+    one for one (``tests/test_sim_golden.py`` pins the result).
     """
 
     __slots__ = ("sim", "engine", "_state", "_batch", "_dur")
@@ -677,8 +674,9 @@ class _GA3CPredictorChain:
 
 
 class _GA3CTrainerChain:
-    """Callback-compiled trainer server (fast-path GA3CSim only);
-    replicates :meth:`GA3CSim._trainer` event-for-event."""
+    """GA3C's trainer server as a callback chain: blocks on the first
+    queued rollout, drains up to ``training_batch_rollouts - 1`` more,
+    and trains on the device once per batch."""
 
     __slots__ = ("sim", "engine", "_state", "_dur")
 
@@ -826,50 +824,12 @@ class GA3CSim:
         self.device = Resource(engine, capacity=1, name="gpu")
         self.predict_queue = Store(engine, name="predict")
         self.train_queue = Store(engine, name="train")
-        if _fast.enabled():
-            _GA3CPredictorChain(self, engine)
-            _GA3CTrainerChain(self, engine)
-        else:
-            engine.process(self._predictor(), name="ga3c-predictor")
-            engine.process(self._trainer(), name="ga3c-trainer")
+        _GA3CPredictorChain(self, engine)
+        _GA3CTrainerChain(self, engine)
 
     def utilisation(self) -> float:
         """Device occupancy (drives the power model)."""
         return self.device.utilisation()
-
-    def _predictor(self):
-        platform = self.platform
-        while True:
-            first = yield self.predict_queue.get()
-            batch = [first] + self.predict_queue.get_batch(
-                platform.max_prediction_batch - 1)
-            # Per-request Python-side handling (dequeue, batch assembly,
-            # result scatter) serialises in the predictor thread.
-            if _obs.enabled():
-                buckets = platform.task_buckets("inference", len(batch))
-                buckets[_prof.GPU_FRAMEWORK] = (
-                    buckets.get(_prof.GPU_FRAMEWORK, 0.0)
-                    + len(batch) * platform.cal.ga3c_request_overhead)
-                _record_task_profile(platform.name, "predict", buckets)
-            yield self.engine.timeout(
-                len(batch) * platform.cal.ga3c_request_overhead)
-            yield from self.device.use(
-                platform.task_seconds("inference", len(batch)))
-            for reply in batch:
-                reply.succeed()
-
-    def _trainer(self):
-        platform = self.platform
-        while True:
-            first = yield self.train_queue.get()
-            extra = self.train_queue.get_batch(
-                platform.training_batch_rollouts - 1)
-            total = int(first) + sum(int(b) for b in extra)
-            if _obs.enabled():
-                _record_task_profile(platform.name, "train",
-                                     platform.task_buckets("train", total))
-            yield from self.device.use(
-                platform.task_seconds("train", total))
 
     # -- agent-facing interface ------------------------------------------
 
@@ -896,8 +856,7 @@ class GA3CSim:
                     latencies: typing.Optional[list] = None) -> Event:
         """Fused equivalent of ``throughput._agent_process``: returns an
         event that succeeds once ``routines`` routines have run.  The
-        predictor and trainer stay generator processes — they run once
-        per *batch*, so their resume overhead is already amortised."""
+        predictor and trainer chains start with the sim."""
         del agent_id
         return _GA3CAgentChain(self, self.engine, t_max, routines, host,
                                meter, needs_sync, needs_bootstrap,

@@ -1,26 +1,25 @@
 """Wall-clock fast path: memoized stage plans for the simulators.
 
 ``repro.perf`` makes the harness faster **without changing any modelled
-number**.  The discrete-event FPGA simulator re-derives identical stage
-schedules, DMA plans, and attribution templates on every routine even
-though they are pure functions of (topology, batch, direction, platform
-config); :mod:`repro.perf.stageplan` computes them once and lets
-:class:`repro.fpga.platform.FPGASim` replay them.
+number**.  The discrete-event FPGA simulator would otherwise re-derive
+identical stage schedules, DMA plans, and attribution templates on every
+routine even though they are pure functions of (topology, batch,
+direction, platform config); :mod:`repro.perf.stageplan` computes them
+once and lets :class:`repro.fpga.platform.FPGASim` replay them.
 
-The fast path is on by default and can be disabled for A/B verification
-with ``REPRO_FASTPATH=0`` (or :func:`repro.perf.runtime.disable`); the
-``repro bench --check`` gate against ``BENCH_fa3c.json`` is the
-correctness harness proving both paths produce bit-identical IPS and
-cycle attribution.
+``tests/test_sim_golden.py`` pins the replayed IPS, latencies, cycle
+attribution and DRAM traffic at zero tolerance against data recorded
+from the per-task derivation the plans replaced, and the
+``repro bench --check`` gate against ``BENCH_fa3c.json`` covers every
+bench scenario.
 
 ``stageplan`` imports the FPGA timing model, which imports platform
-modules that themselves consult this package — so its names are exposed
-lazily (PEP 562), like :mod:`repro.obs.prof` does for its heavy
-submodules.
+modules that themselves import :mod:`repro.perf.hotpath` — so its names
+are exposed lazily (PEP 562), like :mod:`repro.obs.prof` does for its
+heavy submodules.
 """
 
 from repro.perf.hotpath import hot_path
-from repro.perf.runtime import disable, disabled_scope, enable, enabled
 
 #: Names resolved from :mod:`repro.perf.stageplan` on first access.
 _STAGEPLAN_NAMES = ("CACHE", "PlanCache", "StagePlan", "TaskPlan",
@@ -32,10 +31,6 @@ __all__ = [
     "StagePlan",
     "TaskPlan",
     "config_key",
-    "disable",
-    "disabled_scope",
-    "enable",
-    "enabled",
     "hot_path",
     "task_plan",
 ]
@@ -43,8 +38,8 @@ __all__ = [
 
 def __getattr__(name: str):
     import importlib
-    if name == "stageplan" or name == "runtime":
-        return importlib.import_module(f"repro.perf.{name}")
+    if name == "stageplan":
+        return importlib.import_module("repro.perf.stageplan")
     if name in _STAGEPLAN_NAMES:
         module = importlib.import_module("repro.perf.stageplan")
         return getattr(module, name)

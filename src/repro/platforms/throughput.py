@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.gpu.calibration import GPUCalibration
 from repro.obs import runtime as _obs
-from repro.perf import runtime as _fast
 from repro.platforms.metrics import IPSMeter
 from repro.sim import Engine
 
@@ -139,11 +138,11 @@ class ThroughputSetup:
         sim = self.platform.build_sim(engine)
         meter = IPSMeter(t_max)
         latencies: typing.List[float] = []
-        if _fast.enabled() and hasattr(sim, "agent_chain"):
-            # Fused fast path: each agent is a callback chain instead of
-            # a generator process.  The chains create the same events in
+        if hasattr(sim, "agent_chain"):
+            # Fused agents: each agent is a callback chain instead of a
+            # generator process.  The chains create the same events in
             # the same order, so every modelled number is bit-identical
-            # to the generator path (REPRO_FASTPATH=0).
+            # to running _agent_process (tests/test_platforms_fastpath.py).
             agents = [
                 sim.agent_chain(agent_id, t_max, routines_per_agent,
                                 self.host, meter, self.needs_sync,
