@@ -10,6 +10,7 @@ the real pipeline).
 from __future__ import annotations
 
 import copy
+import functools
 import typing
 
 import numpy as np
@@ -32,6 +33,40 @@ ALE_ACTIONS = (
 _NOT_STATE = ("screen", "rng", "action_space", "observation_space")
 
 
+Color = typing.Tuple[int, int, int]
+
+
+@functools.lru_cache(maxsize=None)
+def color_tile(color: Color, height: int, width: int) -> np.ndarray:
+    """A read-only ``(height, width, 3)`` frame filled with ``color``,
+    built on first use and shared by every screen of that size.
+
+    Drawing copies a slice of it rather than broadcasting the RGB tuple:
+    source and destination rows are then contiguous runs of bytes,
+    where a tuple fill writes three bytes at a time (and converts the
+    tuple on every call).  The pixels are the same either way.
+    """
+    tile = np.empty((height, width, 3), dtype=np.uint8)
+    tile[:] = color
+    tile.flags.writeable = False
+    return tile
+
+
+def clip_rect(top: float, left: float, height: float, width: float,
+              frame_height: int, frame_width: int
+              ) -> typing.Tuple[int, int, int, int]:
+    """Pixel bounds ``(t, l, b, r)`` of a rectangle in a frame.
+
+    Each edge is rounded half to even and clipped to the frame; the
+    rectangle is empty unless ``b > t and r > l``.
+    """
+    t = min(max(int(round(top)), 0), frame_height)
+    l = min(max(int(round(left)), 0), frame_width)
+    b = min(max(int(round(top + height)), 0), frame_height)
+    r = min(max(int(round(left + width)), 0), frame_width)
+    return t, l, b, r
+
+
 class Screen:
     """A mutable RGB frame buffer with simple shape-drawing helpers."""
 
@@ -41,19 +76,18 @@ class Screen:
         self.width = width
         self.pixels = np.zeros((height, width, 3), dtype=np.uint8)
 
-    def clear(self, color: typing.Tuple[int, int, int] = (0, 0, 0)) -> None:
+    def clear(self, color: Color = (0, 0, 0)) -> None:
         """Fill the whole frame with one colour."""
-        self.pixels[:, :] = color
+        self.pixels[:] = color_tile(color, self.height, self.width)
 
     def fill_rect(self, top: float, left: float, height: float, width: float,
-                  color: typing.Tuple[int, int, int]) -> None:
+                  color: Color) -> None:
         """Fill an axis-aligned rectangle, clipped to the frame."""
-        t = min(max(int(round(top)), 0), self.height)
-        l = min(max(int(round(left)), 0), self.width)
-        b = min(max(int(round(top + height)), 0), self.height)
-        r = min(max(int(round(left + width)), 0), self.width)
+        t, l, b, r = clip_rect(top, left, height, width,
+                               self.height, self.width)
         if b > t and r > l:
-            self.pixels[t:b, l:r] = color
+            self.pixels[t:b, l:r] = \
+                color_tile(color, self.height, self.width)[t:b, l:r]
 
     def copy(self) -> np.ndarray:
         """An independent uint8 copy of the frame."""

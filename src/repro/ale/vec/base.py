@@ -24,7 +24,7 @@ action sequence:
   enemy hops) run per affected slot with the scalar game's exact
   expression sequence;
 * rendering issues the same ``fill_rect`` sequence per slot, with
-  batch-constant rectangles stamped across slots in one masked write.
+  batch-constant rectangles stamped across slots in one write.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ from repro.ale.games.base import (
     SCREEN_HEIGHT,
     SCREEN_WIDTH,
     AtariGame,
+    Color,
+    clip_rect,
+    color_tile,
 )
 from repro.envs.spaces import Box, Discrete
 from repro.perf.hotpath import hot_path
@@ -46,10 +49,12 @@ from repro.perf.hotpath import hot_path
 class BatchScreen:
     """A shared ``(B, H, W, 3)`` frame buffer with per-slot drawing.
 
-    The per-slot :meth:`fill_rect` reproduces
-    :meth:`repro.ale.games.base.Screen.fill_rect`'s rounding and clipping
-    exactly; :meth:`fill_rect_slots` stamps one batch-constant rectangle
-    into many slots with a single masked write.
+    Every method rounds and clips with
+    :func:`~repro.ale.games.base.clip_rect` and copies from a
+    :func:`~repro.ale.games.base.color_tile`, as
+    :class:`~repro.ale.games.base.Screen` does, so a slot's pixels equal
+    the scalar game's; :meth:`fill_rect_slots` stamps one batch-constant
+    rectangle into many slots with a single write.
     """
 
     def __init__(self, batch: int, height: int = SCREEN_HEIGHT,
@@ -58,50 +63,35 @@ class BatchScreen:
         self.height = height
         self.width = width
         self.pixels = np.zeros((batch, height, width, 3), dtype=np.uint8)
-        # Full-frame fills per colour: copying a prebuilt (H, W, 3)
-        # frame is ~40x faster than broadcasting an RGB tuple into the
-        # batch buffer (contiguous block copy vs strided pattern fill).
-        self._clear_frames: typing.Dict[typing.Tuple[int, int, int],
-                                        np.ndarray] = {}
 
-    def _clipped(self, top: float, left: float, height: float,
-                 width: float) -> typing.Tuple[int, int, int, int]:
-        t = min(max(int(round(top)), 0), self.height)
-        l = min(max(int(round(left)), 0), self.width)
-        b = min(max(int(round(top + height)), 0), self.height)
-        r = min(max(int(round(left + width)), 0), self.width)
-        return t, l, b, r
-
-    def clear_slots(self, slots: np.ndarray,
-                    color: typing.Tuple[int, int, int]) -> None:
+    def clear_slots(self, slots: np.ndarray, color: Color) -> None:
         """Fill the whole frame of every listed slot with one colour."""
-        frame = self._clear_frames.get(color)
-        if frame is None:
-            frame = np.empty((self.height, self.width, 3), dtype=np.uint8)
-            frame[:] = color
-            self._clear_frames[color] = frame
+        tile = color_tile(color, self.height, self.width)
         if slots.size == self.batch:
-            self.pixels[:] = frame
+            self.pixels[:] = tile
         else:
-            self.pixels[slots] = frame
+            self.pixels[slots] = tile
 
     def fill_rect(self, slot: int, top: float, left: float, height: float,
-                  width: float, color: typing.Tuple[int, int, int]) -> None:
+                  width: float, color: Color) -> None:
         """Fill a rectangle in one slot, clipped to the frame."""
-        t, l, b, r = self._clipped(top, left, height, width)
+        t, l, b, r = clip_rect(top, left, height, width,
+                               self.height, self.width)
         if b > t and r > l:
-            self.pixels[slot, t:b, l:r] = color
+            self.pixels[slot, t:b, l:r] = \
+                color_tile(color, self.height, self.width)[t:b, l:r]
 
     def fill_rect_slots(self, slots: np.ndarray, top: float, left: float,
-                        height: float, width: float,
-                        color: typing.Tuple[int, int, int]) -> None:
+                        height: float, width: float, color: Color) -> None:
         """Fill the same rectangle in every listed slot at once."""
-        t, l, b, r = self._clipped(top, left, height, width)
+        t, l, b, r = clip_rect(top, left, height, width,
+                               self.height, self.width)
         if b > t and r > l:
+            block = color_tile(color, self.height, self.width)[t:b, l:r]
             if slots.size == self.batch:
-                self.pixels[:, t:b, l:r] = color
+                self.pixels[:, t:b, l:r] = block
             else:
-                self.pixels[slots, t:b, l:r] = color
+                self.pixels[slots, t:b, l:r] = block
 
 
 class VecAtariGame:

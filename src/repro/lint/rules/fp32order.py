@@ -19,6 +19,13 @@ its intent:
 * ``np.dot`` / ``np.inner`` / ``np.vdot`` — always flagged here; use
   ``np.matmul``/``@`` (the documented GEMM primitive) or an ordered
   reduce, or pragma the call with the reason order cannot leak.
+* ``np.einsum`` / ``np.tensordot`` — always flagged here: the GEMM they
+  hand to BLAS is chosen from the operand shapes, not written down.
+  einsum reorders the operands (``ok,nkp->nop`` runs as
+  ``nkp,ok``), copies them into whatever layout that order needs,
+  drops size-1 axes, and skips BLAS altogether when no contracted axis
+  is longer than 1; tensordot transposes and reshapes its operands the
+  same way.  Gather the operands into the layout wanted and call ``@``.
 
 Quantized-kernel modules are outside the bit-exact contract by design
 (their datapath rounds through a storage precision before accumulating)
@@ -39,6 +46,7 @@ from repro.lint.registry import Rule, register
 _DEFAULT_MODULES = ("repro/fpga/pe.py", "repro/fpga/tlu.py", "repro/nn")
 
 _ORDER_FREE = {"dot", "inner", "vdot"}
+_IMPLICIT_GEMM = {"einsum", "tensordot"}
 _SUM_NAMES = {"sum", "nansum"}
 
 
@@ -82,6 +90,15 @@ class Fp32OrderRule(Rule):
                 "an order-sensitive module; use np.matmul/@ or an "
                 "ordered np.add.reduce, or pragma with the reason order "
                 "cannot leak")
+            return
+        # np.einsum / np.tensordot: the GEMM depends on the shapes.
+        if is_numpy and len(parts) == 2 and parts[1] in _IMPLICIT_GEMM:
+            yield ctx.finding(
+                self, node,
+                f"`{name}` picks its GEMM operand order and layout from "
+                "the shapes (and skips BLAS for size-1 contractions) in "
+                "an order-sensitive module; gather the operands and "
+                "call np.matmul/@")
             return
         # np.add.reduce without axis: 1-D pairwise, not left-to-right.
         if is_numpy and parts[1:] == ["add", "reduce"] \

@@ -1,9 +1,13 @@
 """Stateless numerical primitives: convolution, dense, and activations.
 
-All convolution routines are built on an ``im2col`` transformation so that
-the heavy lifting is a single matrix multiplication — the same operational
-structure the FA3C processing elements execute (multiply + accumulate over
-the I*K*K reduction axis, paper Section 4.2.1).
+Every convolution stage (FW, BW, GC) gathers its patch matrix once,
+straight into the C-contiguous layout its GEMM consumes, and issues that
+GEMM with ``@`` — one multiply-accumulate stream over the I*K*K
+reduction axis, the structure the FA3C processing elements execute
+(paper Section 4.2.1).  The operands are exactly the ones
+``einsum(..., optimize=True)`` handed to BLAS in earlier versions,
+so every stage is bit-identical to that formulation
+(``tests/test_nn_functional.py`` keeps it as the reference).
 
 Array conventions:
 
@@ -26,47 +30,79 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: int,
-           stride: int) -> typing.Tuple[np.ndarray, typing.Tuple[int, int]]:
-    """Unfold ``(N, C, H, W)`` into columns ``(N, C*K*K, OH*OW)``.
+def _windows(x: np.ndarray, kernel: int, stride: int,
+             order: str) -> typing.Tuple[np.ndarray, typing.Tuple[int, int]]:
+    """A read-only strided view of every ``K x K`` window of ``x``.
 
-    Returns the column matrix and the output spatial shape ``(OH, OW)``.
-    Uses a strided view plus one reshape-copy; no Python loops.
+    ``order`` names the axes of the view: ``n`` (batch), ``c``
+    (channel), ``i``/``j`` (kernel row/column) and ``h``/``w`` (output
+    row/column).  Reshaping the view to 2-D is the one gather copy.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kernel, stride)
     ow = conv_output_size(w, kernel, stride)
     sn, sc, sh, sw = x.strides
+    axes = {"n": (n, sn), "c": (c, sc), "i": (kernel, sh),
+            "j": (kernel, sw), "h": (oh, sh * stride),
+            "w": (ow, sw * stride)}
     view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kernel, kernel, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    cols = view.reshape(n, c * kernel * kernel, oh * ow)
-    return cols, (oh, ow)
+        x, shape=tuple(axes[a][0] for a in order),
+        strides=tuple(axes[a][1] for a in order), writeable=False)
+    return view, (oh, ow)
 
 
-def col2im(cols: np.ndarray, input_shape: typing.Tuple[int, int, int, int],
+def im2col(x: np.ndarray, kernel: int,
+           stride: int) -> typing.Tuple[np.ndarray, typing.Tuple[int, int]]:
+    """Unfold ``(N, C, H, W)`` into patch rows ``(N*OH*OW, C*K*K)``.
+
+    One row per output position, in ``(c, ki, kj)`` order: the
+    C-contiguous left operand of the FW GEMM.  Returns the patch matrix
+    and the output spatial shape ``(OH, OW)``.
+    """
+    view, (oh, ow) = _windows(x, kernel, stride, "nhwcij")
+    return view.reshape(-1, x.shape[1] * kernel * kernel), (oh, ow)
+
+
+def im2col_transposed(x: np.ndarray, kernel: int,
+                      stride: int) -> np.ndarray:
+    """The patch matrix transposed, ``(C*K*K, N*OH*OW)``, C-contiguous.
+
+    The left operand of the GC GEMM, gathered straight from ``x``.  It
+    holds the values of ``im2col(x).T``, but that transposed *view* is
+    not a substitute: BLAS may accumulate a transposed operand in a
+    different order, which changes low bits at small odd shapes.
+    """
+    view, _ = _windows(x, kernel, stride, "cijnhw")
+    return view.reshape(x.shape[1] * kernel * kernel, -1)
+
+
+def col2im(rows: np.ndarray, input_shape: typing.Tuple[int, int, int, int],
            kernel: int, stride: int) -> np.ndarray:
-    """Fold columns ``(N, C*K*K, OH*OW)`` back to ``(N, C, H, W)``.
+    """Fold patch rows ``(N*OH*OW, C*K*K)`` back to ``(N, C, H, W)``.
 
-    Overlapping positions accumulate — this is the adjoint of
-    :func:`im2col` and the core of backward propagation through a
-    convolution.
+    Overlapping positions accumulate, one ``(ki, kj)`` offset at a time
+    in row-major order — this is the adjoint of :func:`im2col` and the
+    core of backward propagation through a convolution.  The sum runs
+    in a channels-last buffer, where every strided add moves whole
+    channel vectors, and the result is returned C-contiguous.
     """
     n, c, h, w = input_shape
     oh = conv_output_size(h, kernel, stride)
     ow = conv_output_size(w, kernel, stride)
-    cols = cols.reshape(n, c, kernel, kernel, oh, ow)
-    out = np.zeros(input_shape, dtype=cols.dtype)
+    rows = rows.reshape(n, oh, ow, c, kernel, kernel)
+    out = np.zeros((n, h, w, c), dtype=rows.dtype)
     for ki in range(kernel):
         row_end = ki + stride * oh
         for kj in range(kernel):
             col_end = kj + stride * ow
-            out[:, :, ki:row_end:stride, kj:col_end:stride] += \
-                cols[:, :, ki, kj, :, :]
-    return out
+            out[:, ki:row_end:stride, kj:col_end:stride, :] += \
+                rows[:, :, :, :, ki, kj]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def _dy_rows(dy: np.ndarray) -> np.ndarray:
+    """``(N, O, OH, OW)`` gradients as C-contiguous rows ``(N*OH*OW, O)``."""
+    return dy.transpose(0, 2, 3, 1).reshape(-1, dy.shape[1])
 
 
 def conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -74,9 +110,9 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                  ) -> typing.Tuple[np.ndarray, np.ndarray]:
     """FW stage of a convolution layer.
 
-    Returns ``(y, cols)`` where ``cols`` is the im2col matrix cached for the
-    GC stage (FA3C likewise saves forward feature maps in DRAM for reuse by
-    the training task, Section 4.3).
+    Returns ``(y, rows)``: the C-contiguous output and the
+    :func:`im2col` patch rows it multiplied.  The GEMM is
+    ``rows @ weight.reshape(O, -1).T``.
 
     ``policy`` is an optional :class:`~repro.nn.quant.PrecisionPolicy`
     coercing the *parameters* to their storage precision (activations are
@@ -89,11 +125,11 @@ def conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     if policy is not None:
         weight = policy(weight, f"{key}.weight")
         bias = policy(bias, f"{key}.bias")
-    cols, (oh, ow) = im2col(x, k, stride)
-    flat_w = weight.reshape(o, i * k * k)
-    y = np.einsum("ok,nkp->nop", flat_w, cols, optimize=True)
-    y += bias[None, :, None]
-    return y.reshape(x.shape[0], o, oh, ow), cols
+    rows, (oh, ow) = im2col(x, k, stride)
+    y = rows @ weight.reshape(o, i * k * k).T
+    y += bias
+    y = y.reshape(x.shape[0], oh, ow, o).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(y), rows
 
 
 def conv_backward_input(dy: np.ndarray, weight: np.ndarray, stride: int,
@@ -101,34 +137,35 @@ def conv_backward_input(dy: np.ndarray, weight: np.ndarray, stride: int,
                         policy=None, key: str = "") -> np.ndarray:
     """BW stage: gradients of the input feature map.
 
-    ``dy`` has shape ``(N, O, OH, OW)``.  ``policy`` re-coerces the
-    weight to the same stored values the FW stage multiplied by
-    (straight-through estimation: gradients flow in fp32 through the
-    quantized parameters).
+    ``dy`` has shape ``(N, O, OH, OW)``.  The GEMM is
+    ``dy_rows @ weight.reshape(O, -1)`` with ``dy_rows`` C-contiguous
+    ``(N*OH*OW, O)``; :func:`col2im` folds the product back.
+    ``policy`` re-coerces the weight to the same stored values the FW
+    stage multiplied by (straight-through estimation: gradients flow in
+    fp32 through the quantized parameters).
     """
-    n, o, oh, ow = dy.shape
-    _, i, k, _ = weight.shape
+    o = dy.shape[1]
+    k = weight.shape[2]
     if policy is not None:
         weight = policy(weight, f"{key}.weight")
-    flat_w = weight.reshape(o, i * k * k)
-    dy_flat = dy.reshape(n, o, oh * ow)
-    dcols = np.einsum("ok,nop->nkp", flat_w, dy_flat, optimize=True)
-    return col2im(dcols, input_shape, k, stride)
+    drows = _dy_rows(dy) @ weight.reshape(o, -1)
+    return col2im(drows, input_shape, k, stride)
 
 
-def conv_grad_params(cols: np.ndarray, dy: np.ndarray, weight_shape:
-                     typing.Tuple[int, int, int, int]
+def conv_grad_params(x: np.ndarray, dy: np.ndarray, weight_shape:
+                     typing.Tuple[int, int, int, int], stride: int
                      ) -> typing.Tuple[np.ndarray, np.ndarray]:
     """GC stage: gradients of the convolution weights and bias.
 
-    ``cols`` is the cached im2col matrix from the FW stage.
+    ``x`` is the layer input the FW stage multiplied (FA3C likewise
+    keeps forward feature maps in DRAM for the training task, Section
+    4.3).  The GEMM is ``im2col_transposed(x) @ dy_rows``.
     """
-    o, i, k, _ = weight_shape
+    o, _, k, _ = weight_shape
     n = dy.shape[0]
-    dy_flat = dy.reshape(n, o, -1)
-    dw = np.einsum("nop,nkp->ok", dy_flat, cols, optimize=True)
-    db = dy_flat.sum(axis=(0, 2))
-    return dw.reshape(weight_shape), db
+    dw = im2col_transposed(x, k, stride) @ _dy_rows(dy)
+    db = dy.reshape(n, o, -1).sum(axis=(0, 2))
+    return dw.T.reshape(weight_shape), db
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

@@ -81,8 +81,7 @@ class Conv2D(Layer):
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self._cols: typing.Optional[np.ndarray] = None
-        self._input_shape: typing.Optional[Shape] = None
+        self._x: typing.Optional[np.ndarray] = None
 
     def param_shapes(self) -> typing.Dict[str, Shape]:
         return {
@@ -101,30 +100,32 @@ class Conv2D(Layer):
         return (self.out_channels, oh, ow)
 
     def forward(self, x: np.ndarray, params: ParameterSet) -> np.ndarray:
+        given = x
         x = np.ascontiguousarray(x, dtype=np.float32)
         if self.policy is not None:
             x = self.policy(x, f"{self.name}.act")
-        self._input_shape = x.shape
-        y, cols = F.conv_forward(x, params[f"{self.name}.weight"],
-                                 params[f"{self.name}.bias"], self.stride,
-                                 policy=self.policy, key=self.name)
-        self._cols = cols
+        # GC gathers its operand from the cached input, so the cache
+        # must not alias an array the caller may overwrite.
+        self._x = x.copy() if np.may_share_memory(x, given) else x
+        y, _ = F.conv_forward(x, params[f"{self.name}.weight"],
+                              params[f"{self.name}.bias"], self.stride,
+                              policy=self.policy, key=self.name)
         return y
 
     def backward_input(self, dy: np.ndarray,
                        params: ParameterSet) -> np.ndarray:
-        if self._input_shape is None:
+        if self._x is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         return F.conv_backward_input(dy, params[f"{self.name}.weight"],
-                                     self.stride, self._input_shape,
+                                     self.stride, self._x.shape,
                                      policy=self.policy, key=self.name)
 
     def grad_params(self, dy: np.ndarray, grads: ParameterSet) -> None:
-        if self._cols is None:
+        if self._x is None:
             raise RuntimeError(f"{self.name}: grad before forward")
         super().grad_params(dy, grads)
         weight_shape = self.param_shapes()["weight"]
-        dw, db = F.conv_grad_params(self._cols, dy, weight_shape)
+        dw, db = F.conv_grad_params(self._x, dy, weight_shape, self.stride)
         grads[f"{self.name}.weight"] += dw
         grads[f"{self.name}.bias"] += db
 

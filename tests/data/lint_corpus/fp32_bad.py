@@ -10,4 +10,8 @@ def reductions(a, b):
     pairwise = np.add.reduce(a)                    # EXPECT: fp32-order
     implicit = np.sum(a)                           # EXPECT: fp32-order
     method = (a * b).sum()                         # EXPECT: fp32-order
-    return unordered, paired, flat, pairwise, implicit, method
+    shaped = np.einsum("ok,nkp->nop", a, b)        # EXPECT: fp32-order
+    planned = np.einsum("ij,jk", a, b, optimize=True)  # EXPECT: fp32-order
+    folded = np.tensordot(a, b, axes=1)            # EXPECT: fp32-order
+    return (unordered, paired, flat, pairwise, implicit, method, shaped,
+            planned, folded)

@@ -86,6 +86,10 @@ def test_seeded_violation_file_fires():
     rules = {f.rule for f in result.findings}
     assert "determinism" in rules
     assert "hot-path" in rules
+    ordered = lint_source(seeded.read_text(encoding="utf-8"),
+                          "src/repro/nn/seeded.py", LintConfig(),
+                          select=["fp32-order"])
+    assert [f.rule for f in ordered.findings] == ["fp32-order"]
 
 
 def test_hot_function_via_config_listing():

@@ -1,6 +1,7 @@
 """Tests for the convolution/dense/activation primitives, including
-property-based checks of the im2col/col2im adjoint pair and numerical
-gradient validation."""
+property-based checks of the im2col/col2im adjoint pair, numerical
+gradient validation, and bit-exactness of every conv stage against the
+einsum formulation the GEMMs replaced."""
 
 import hypothesis
 import hypothesis.strategies as st
@@ -65,9 +66,11 @@ class TestConvForward:
     def test_a3c_conv1_shape(self):
         x = np.zeros((2, 4, 84, 84), dtype=np.float32)
         w = np.zeros((16, 4, 8, 8), dtype=np.float32)
-        y, cols = F.conv_forward(x, w, np.zeros(16, dtype=np.float32), 4)
+        y, rows = F.conv_forward(x, w, np.zeros(16, dtype=np.float32), 4)
         assert y.shape == (2, 16, 20, 20)
-        assert cols.shape == (2, 4 * 64, 400)
+        assert y.flags.c_contiguous
+        assert rows.shape == (2 * 400, 4 * 64)
+        assert rows.flags.c_contiguous
 
 
 class TestIm2ColAdjoint:
@@ -87,11 +90,123 @@ class TestIm2ColAdjoint:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_col2im_accumulates_overlaps(self):
-        cols = np.ones((1, 4, 4), dtype=np.float32)  # k=2, 3x3 input, s=1
-        out = F.col2im(cols, (1, 1, 3, 3), 2, 1)
+        rows = np.ones((4, 4), dtype=np.float32)  # k=2, 3x3 input, s=1
+        out = F.col2im(rows, (1, 1, 3, 3), 2, 1)
         # centre element overlaps all four windows
         assert out[0, 0, 1, 1] == 4.0
         assert out[0, 0, 0, 0] == 1.0
+
+    @hypothesis.given(small_conv, st.integers(0, 2 ** 31 - 1))
+    @hypothesis.settings(max_examples=25, deadline=None)
+    def test_transposed_gather_holds_the_patch_values(self, dims, seed):
+        n, c, _o, (size, k, stride) = dims
+        x = np.random.default_rng(seed).standard_normal(
+            (n, c, size, size)).astype(np.float32)
+        rows, _ = F.im2col(x, k, stride)
+        cols = F.im2col_transposed(x, k, stride)
+        assert cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, rows.T)
+
+
+# -- the einsum formulation the GEMMs replaced (reference only) -------------
+
+def _einsum_im2col(x, kernel, stride):
+    n, c, h, w = x.shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    sn, sc, sh, sw = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kernel, kernel, oh, ow),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride))
+    return view.reshape(n, c * kernel * kernel, oh * ow), (oh, ow)
+
+
+def _einsum_forward(x, weight, bias, stride):
+    o, i, k, _ = weight.shape
+    cols, (oh, ow) = _einsum_im2col(x, k, stride)
+    y = np.einsum("ok,nkp->nop", weight.reshape(o, i * k * k), cols,
+                  optimize=True)
+    y += bias[None, :, None]
+    return y.reshape(x.shape[0], o, oh, ow)
+
+
+def _einsum_backward_input(dy, weight, stride, input_shape):
+    n, o, oh, ow = dy.shape
+    _, i, k, _ = weight.shape
+    dcols = np.einsum("ok,nop->nkp", weight.reshape(o, i * k * k),
+                      dy.reshape(n, o, oh * ow), optimize=True)
+    cols = dcols.reshape(n, i, k, k, oh, ow)
+    out = np.zeros(input_shape, dtype=cols.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            out[:, :, ki:ki + stride * oh:stride,
+                kj:kj + stride * ow:stride] += cols[:, :, ki, kj]
+    return out
+
+
+def _einsum_grad_params(x, dy, weight_shape, stride):
+    o, _, k, _ = weight_shape
+    n = dy.shape[0]
+    cols, _ = _einsum_im2col(x, k, stride)
+    dy_flat = dy.reshape(n, o, -1)
+    dw = np.einsum("nop,nkp->ok", dy_flat, cols, optimize=True)
+    return dw.reshape(weight_shape), dy_flat.sum(axis=(0, 2))
+
+
+#: (in channels, input size, out channels, kernel, stride)
+A3C_CONVS = {"Conv1": (4, 84, 16, 8, 4), "Conv2": (16, 20, 32, 4, 2)}
+#: Small odd shapes, where a transposed-view GC operand changes bits.
+SMALL_CONVS = [(3, 7, 4, 3, 2), (2, 5, 3, 2, 1), (1, 4, 2, 3, 1)]
+
+
+class TestConvMatchesEinsumBitForBit:
+    """Every stage issues the exact GEMM ``np.einsum(..., optimize=True)``
+    issued, so the results agree as ``view(np.uint32)``."""
+
+    @staticmethod
+    def _check(shape, batch, seed, policy=None):
+        c, size, o, k, stride = shape
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, c, size, size)).astype(np.float32)
+        w = rng.standard_normal((o, c, k, k)).astype(np.float32)
+        b = rng.standard_normal(o).astype(np.float32)
+        if policy is not None:
+            x = policy(x, "act")
+        y, _ = F.conv_forward(x, w, b, stride, policy=policy, key="c")
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        dx = F.conv_backward_input(dy, w, stride, x.shape, policy=policy,
+                                   key="c")
+        dw, db = F.conv_grad_params(x, dy, w.shape, stride)
+        if policy is not None:
+            w, b = policy(w, "c.weight"), policy(b, "c.bias")
+        for got, want in ((y, _einsum_forward(x, w, b, stride)),
+                          (dx, _einsum_backward_input(dy, w, stride,
+                                                      x.shape)),
+                          *zip((dw, db), _einsum_grad_params(
+                              x, dy, w.shape, stride))):
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32),
+                                          want.view(np.uint32))
+
+    @pytest.mark.parametrize("batch", [1, 5, 16, 80])
+    @pytest.mark.parametrize("layer", sorted(A3C_CONVS))
+    def test_a3c_layers(self, layer, batch):
+        self._check(A3C_CONVS[layer], batch, seed=batch)
+
+    @pytest.mark.parametrize("shape", SMALL_CONVS, ids=str)
+    def test_small_odd_shapes_every_batch(self, shape):
+        for batch in range(1, 81):
+            self._check(shape, batch, seed=batch)
+
+    @pytest.mark.parametrize("precision", ["fp16", "int8"])
+    @pytest.mark.parametrize("shape", [A3C_CONVS["Conv2"], *SMALL_CONVS],
+                             ids=str)
+    def test_quantized_policies(self, precision, shape):
+        from repro.nn.quant import policy_for
+        for batch in (1, 5, 16):
+            self._check(shape, batch, seed=batch,
+                        policy=policy_for(precision))
 
 
 class TestGradients:
@@ -123,8 +238,7 @@ class TestGradients:
             y, _ = F.conv_forward(x, w, b, 2)  # float64 throughout
             return float((y * target).sum())
 
-        cols, _ = F.im2col(x, 3, 2)
-        dw, db = F.conv_grad_params(cols, target, w.shape)
+        dw, db = F.conv_grad_params(x, target, w.shape, 2)
         from repro.nn.gradcheck import numerical_gradient
         np.testing.assert_allclose(dw, numerical_gradient(loss, w, 1e-5),
                                    rtol=1e-4, atol=1e-7)

@@ -37,6 +37,32 @@ class TestLayerContracts:
             conv.backward_input(np.zeros((1, 1, 2, 2), dtype=np.float32),
                                 params)
 
+    @pytest.mark.parametrize("precision", ["fp32", "fp16"])
+    def test_conv_grads_ignore_later_writes_to_the_input(self, precision):
+        """GC reads the input cached at FW time, not the caller's array
+        as it is when ``grad_params`` runs."""
+        from repro.nn.quant import policy_for
+        conv = Conv2D("c", 2, 3, kernel=3, stride=2)
+        conv.policy = policy_for(precision)
+        params = ParameterSet()
+        conv.init_params(params, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((4, 2, 9, 9)).astype(np.float32)
+        dy = rng.standard_normal((4, 3, 4, 4)).astype(np.float32)
+
+        def grads(mutate):
+            given = x.copy()
+            conv.forward(given, params)
+            if mutate:
+                given[...] = rng.standard_normal(given.shape)
+            out = ParameterSet()
+            conv.grad_params(dy, out)
+            return out
+
+        clean, mutated = grads(False), grads(True)
+        for key in ("c.weight", "c.bias"):
+            np.testing.assert_array_equal(mutated[key], clean[key])
+
     def test_dense_shape_validation(self):
         dense = Dense("d", 10, 5)
         with pytest.raises(ValueError):
