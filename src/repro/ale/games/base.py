@@ -67,6 +67,76 @@ def clip_rect(top: float, left: float, height: float, width: float,
     return t, l, b, r
 
 
+#: One RGB pixel as a single 3-byte item, so a masked copy moves whole
+#: pixels under a mask of the frame's own shape.
+_PIXEL = np.dtype((np.void, 3))
+
+
+def pixel_view(pixels: np.ndarray) -> np.ndarray:
+    """``(..., 3)`` uint8 pixels viewed as ``(...)`` 3-byte items."""
+    return pixels.view(_PIXEL)[..., 0]
+
+
+class RectGrid(typing.NamedTuple):
+    """Fixed, non-overlapping rectangles drawn as one masked copy.
+
+    The arrays cover ``box = (t, l, b, r)``, the bounding box of the
+    drawn cells: ``index`` holds the cell each pixel belongs to,
+    ``valid`` which pixels belong to any cell, and ``colors`` each
+    cell's colour.  ``size`` is the number of cells.
+    """
+
+    box: typing.Tuple[int, int, int, int]
+    index: np.ndarray
+    valid: np.ndarray
+    colors: np.ndarray
+    size: int
+
+    def mask(self, on: np.ndarray) -> np.ndarray:
+        """Pixels of the box to draw, given per-cell flags ``(..., size)``."""
+        on = np.asarray(on, dtype=bool)
+        if on.shape[-1:] != (self.size,):
+            raise ValueError(f"expected {self.size} cell flags, "
+                             f"got shape {on.shape}")
+        return np.take(on, self.index, axis=-1) & self.valid
+
+
+@functools.lru_cache(maxsize=None)
+def rect_grid(rects: typing.Tuple[typing.Tuple[float, float, float, float,
+                                               Color], ...],
+              height: int = SCREEN_HEIGHT,
+              width: int = SCREEN_WIDTH) -> RectGrid:
+    """The read-only :class:`RectGrid` of ``(top, left, height, width,
+    color)`` cells, built on first use.
+
+    Each cell is rounded and clipped with :func:`clip_rect`, so drawing
+    the ``on`` cells equals calling ``fill_rect`` for each of them.
+    Cells must not overlap: draw order would then matter.
+    """
+    bounds = [clip_rect(*rect[:4], height, width) for rect in rects]
+    drawn = [(cell, bound) for cell, bound in enumerate(bounds)
+             if bound[2] > bound[0] and bound[3] > bound[1]]
+    if drawn:
+        box = (min(b[0] for _, b in drawn), min(b[1] for _, b in drawn),
+               max(b[2] for _, b in drawn), max(b[3] for _, b in drawn))
+    else:
+        box = (0, 0, 0, 0)
+    shape = (box[2] - box[0], box[3] - box[1])
+    index = np.zeros(shape, dtype=np.intp)
+    valid = np.zeros(shape, dtype=bool)
+    colors = np.zeros(shape + (3,), dtype=np.uint8)
+    for cell, (t, l, b, r) in drawn:
+        area = (slice(t - box[0], b - box[0]), slice(l - box[1], r - box[1]))
+        if valid[area].any():
+            raise ValueError(f"cell {cell} overlaps an earlier cell")
+        index[area] = cell
+        valid[area] = True
+        colors[area] = rects[cell][4]
+    for array in (index, valid, colors):
+        array.flags.writeable = False
+    return RectGrid(box, index, valid, colors, len(rects))
+
+
 class Screen:
     """A mutable RGB frame buffer with simple shape-drawing helpers."""
 
@@ -88,6 +158,12 @@ class Screen:
         if b > t and r > l:
             self.pixels[t:b, l:r] = \
                 color_tile(color, self.height, self.width)[t:b, l:r]
+
+    def fill_grid(self, grid: RectGrid, on: np.ndarray) -> None:
+        """Fill the cells of ``grid`` whose flag in ``on`` is set."""
+        t, l, b, r = grid.box
+        np.copyto(pixel_view(self.pixels[t:b, l:r]),
+                  pixel_view(grid.colors), where=grid.mask(on))
 
     def copy(self) -> np.ndarray:
         """An independent uint8 copy of the frame."""

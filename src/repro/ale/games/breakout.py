@@ -7,9 +7,18 @@ action set is the real ALE Breakout set: NOOP, FIRE, RIGHT, LEFT.
 
 from __future__ import annotations
 
+import functools
+import typing
+
 import numpy as np
 
-from repro.ale.games.base import SCREEN_HEIGHT, SCREEN_WIDTH, AtariGame
+from repro.ale.games.base import (
+    SCREEN_HEIGHT,
+    SCREEN_WIDTH,
+    AtariGame,
+    RectGrid,
+    rect_grid,
+)
 
 _BG = (0, 0, 0)
 _WALL = (142, 142, 142)
@@ -30,6 +39,21 @@ _PADDLE_W = 16.0
 _PADDLE_H = 4.0
 _BALL_SIZE = 3.0
 _COURT_TOP = 32
+
+#: Lives indicator cells, one per life, as many as fit on screen.
+_LIFE_CELLS = tuple((10, left, 5, 5, _PADDLE)
+                    for left in range(10, SCREEN_WIDTH, 8))
+_LIFE_INDEX = np.arange(len(_LIFE_CELLS))
+#: Brick cells in ``bricks.ravel()`` order.
+_BRICK_CELLS = tuple((_BRICK_TOP + row * _BRICK_H, _WALL_W + col * _BRICK_W,
+                      _BRICK_H - 1, _BRICK_W - 1, _ROW_COLORS[row])
+                     for row in range(_N_ROWS) for col in range(_N_COLS))
+
+
+@functools.lru_cache(maxsize=None)
+def grids() -> typing.Tuple[RectGrid, RectGrid]:
+    """The lives-indicator and brick grids, built on first draw."""
+    return rect_grid(_LIFE_CELLS), rect_grid(_BRICK_CELLS)
 
 
 class Breakout(AtariGame):
@@ -139,16 +163,9 @@ class Breakout(AtariGame):
         screen.fill_rect(_COURT_TOP, 0, SCREEN_HEIGHT, _WALL_W, _WALL)
         screen.fill_rect(_COURT_TOP, SCREEN_WIDTH - _WALL_W,
                          SCREEN_HEIGHT, _WALL_W, _WALL)
-        # Lives indicator.
-        for i in range(self.lives):
-            screen.fill_rect(10, 10 + 8 * i, 5, 5, _PADDLE)
-        for row in range(_N_ROWS):
-            color = _ROW_COLORS[row]
-            for col in range(_N_COLS):
-                if self.bricks[row, col]:
-                    screen.fill_rect(_BRICK_TOP + row * _BRICK_H,
-                                     _WALL_W + col * _BRICK_W,
-                                     _BRICK_H - 1, _BRICK_W - 1, color)
+        lives, bricks = grids()
+        screen.fill_grid(lives, _LIFE_INDEX < self.lives)
+        screen.fill_grid(bricks, self.bricks.ravel())
         screen.fill_rect(_PADDLE_Y, self.paddle_x, _PADDLE_H, _PADDLE_W,
                          _PADDLE)
         if self.ball_in_play:

@@ -24,11 +24,16 @@ action sequence:
   enemy hops) run per affected slot with the scalar game's exact
   expression sequence;
 * rendering issues the same ``fill_rect`` sequence per slot, with
-  batch-constant rectangles stamped across slots in one write.
+  batch-constant rectangles stamped across slots in one write and fixed
+  cell grids (bricks, lives) drawn in one masked copy;
+* a frame is a function of the slot's state alone, so :meth:`advance`
+  can run frames nobody looks at and :meth:`render` draws only those
+  that are observed.
 """
 
 from __future__ import annotations
 
+import copy
 import typing
 
 import numpy as np
@@ -39,8 +44,10 @@ from repro.ale.games.base import (
     SCREEN_WIDTH,
     AtariGame,
     Color,
+    RectGrid,
     clip_rect,
     color_tile,
+    pixel_view,
 )
 from repro.envs.spaces import Box, Discrete
 from repro.perf.hotpath import hot_path
@@ -93,6 +100,21 @@ class BatchScreen:
             else:
                 self.pixels[slots, t:b, l:r] = block
 
+    def fill_grid_slots(self, slots: np.ndarray, grid: RectGrid,
+                        on: np.ndarray) -> None:
+        """Fill each listed slot's cells of ``grid``; ``on`` holds one row
+        of cell flags per slot."""
+        t, l, b, r = grid.box
+        mask = grid.mask(on)
+        colors = pixel_view(grid.colors)
+        if slots.size == self.batch:
+            np.copyto(pixel_view(self.pixels[:, t:b, l:r]), colors,
+                      where=mask)
+        else:
+            block = self.pixels[slots, t:b, l:r]
+            np.copyto(pixel_view(block), colors, where=mask)
+            self.pixels[slots, t:b, l:r] = block
+
 
 class VecAtariGame:
     """Base class for the batched games.
@@ -105,6 +127,8 @@ class VecAtariGame:
     Unlike :class:`~repro.envs.base.Env`, stepping takes an optional
     ``slots`` index array so callers (the batched frame-skip loop) can
     advance a sub-batch while other slots sit on a finished frame.
+    :meth:`step` is :meth:`advance` followed by :meth:`render`; the
+    frame-skip loop calls them apart and draws only observed frames.
     """
 
     #: The scalar game this engine reproduces bit-for-bit per slot.
@@ -142,12 +166,28 @@ class VecAtariGame:
         self._act_left = np.array(["LEFT" in m for m in meanings],
                                   dtype=bool)
         self._all_slots = np.arange(batch, dtype=np.intp)
+        before = set(vars(self))
         self._alloc(batch)
+        self._state = ("lives", "score", "frame", "game_over") + tuple(
+            name for name in vars(self) if name not in before)
+        self._saved: typing.Dict[str, typing.Any] = {}
+        for name in self._state:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray) and value.shape[:1] == (batch,):
+                self._saved[name] = np.empty_like(value)
+            elif isinstance(value, list) and len(value) == batch:
+                self._saved[name] = [None] * batch
+            else:
+                raise TypeError(f"{type(self).__name__}._alloc set "
+                                f"{name!r}, which is neither a (B, ...) "
+                                f"array nor a per-slot list")
 
     # -- subclass hooks ---------------------------------------------------
 
     def _alloc(self, batch: int) -> None:
-        """Allocate the game's ``(B, ...)`` state arrays."""
+        """Allocate the game's state: ``(B, ...)`` arrays and per-slot
+        lists, nothing else (constants live at module level), so
+        :meth:`save_slots` can copy all of it."""
         raise NotImplementedError
 
     def _reset_slots(self, slots: np.ndarray) -> None:
@@ -187,20 +227,33 @@ class VecAtariGame:
         self._reset_slots(slots)
         self._render_slots(slots)
 
-    @hot_path
+    def _slots(self, slots: typing.Optional[np.ndarray]) -> np.ndarray:
+        if slots is None:
+            return self._all_slots
+        return np.asarray(slots, dtype=np.intp)
+
     def step(self, actions: typing.Sequence[int],
              slots: typing.Optional[np.ndarray] = None
              ) -> typing.Tuple[np.ndarray, np.ndarray]:
-        """Advance the listed slots (default: all) one frame each.
+        """Advance the listed slots (default: all) one frame each and
+        draw them: :meth:`advance` followed by :meth:`render`."""
+        slots = self._slots(slots)
+        rewards, dones = self.advance(actions, slots)
+        self._render_slots(slots)
+        return rewards, dones
+
+    @hot_path
+    def advance(self, actions: typing.Sequence[int],
+                slots: typing.Optional[np.ndarray] = None
+                ) -> typing.Tuple[np.ndarray, np.ndarray]:
+        """Advance the listed slots (default: all) one frame each,
+        without drawing them.
 
         Returns ``(rewards, dones)`` aligned with ``slots``.  Finished
         slots must be :meth:`reset_slots` before they are stepped again,
         mirroring the scalar env's step-after-game-over error.
         """
-        if slots is None:
-            slots = self._all_slots
-        else:
-            slots = np.asarray(slots, dtype=np.intp)
+        slots = self._slots(slots)
         if self.game_over[slots].any():
             raise RuntimeError("step() called on a finished slot; "
                                "call reset_slots()")
@@ -217,8 +270,53 @@ class VecAtariGame:
         dones = (self.lives[slots] <= 0) | \
             (self.frame[slots] >= self.max_frames)
         self.game_over[slots] = dones
-        self._render_slots(slots)
         return rewards, dones
+
+    def render(self, slots: typing.Optional[np.ndarray] = None) -> None:
+        """Draw the current state of the listed slots (default: all)."""
+        self._render_slots(self._slots(slots))
+
+    def save_slots(self, slots: np.ndarray) -> None:
+        """Keep a copy of the listed slots' state for
+        :meth:`render_saved`, as the scalar game's ``save_state`` does.
+
+        The copy covers everything :meth:`_alloc` allocates plus lives,
+        score, frame and game-over flag; it replaces the listed slots'
+        earlier copy and leaves the other slots' copies alone.
+        """
+        for name in self._state:
+            value, saved = getattr(self, name), self._saved[name]
+            if isinstance(saved, list):
+                for k in slots:
+                    saved[k] = copy.deepcopy(value[k])
+            elif slots.size == self.batch:
+                np.copyto(saved, value)
+            else:
+                saved[slots] = value[slots]
+
+    def render_saved(self, slots: np.ndarray) -> None:
+        """Draw the listed slots as they were at their last
+        :meth:`save_slots`; their live state is left as it is."""
+        live = {}
+        for name in self._state:
+            value, saved = getattr(self, name), self._saved[name]
+            if isinstance(saved, list):
+                live[name] = [value[k] for k in slots]
+                for k in slots:
+                    value[k] = saved[k]
+            else:
+                live[name] = value[slots]
+                value[slots] = saved[slots]
+        try:
+            self._render_slots(slots)
+        finally:
+            for name in self._state:
+                value = getattr(self, name)
+                if isinstance(value, list):
+                    for k, item in zip(slots, live[name]):
+                        value[k] = item
+                else:
+                    value[slots] = live[name]
 
     @property
     def frames(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Batched Breakout: vectorized ball/brick dynamics, masked brick render.
+"""Batched Breakout: vectorized ball/brick dynamics, grid-copied bricks.
 
 Brick hits resolve with fancy indexing over the ``(B, 6, 18)`` brick
 array; launches (an RNG draw) and paddle bounces (``np.linalg.norm``,
@@ -19,20 +19,23 @@ from repro.ale.games.breakout import (
     _BRICK_TOP,
     _BRICK_W,
     _COURT_TOP,
+    _LIFE_INDEX,
     _N_COLS,
     _N_ROWS,
     _PADDLE,
     _PADDLE_H,
     _PADDLE_W,
     _PADDLE_Y,
-    _ROW_COLORS,
     _ROW_SCORES,
     _WALL,
     _WALL_W,
     Breakout,
+    grids,
 )
 from repro.ale.vec.base import VecAtariGame
 from repro.perf.hotpath import hot_path
+
+_ROW_SCORE_VALUES = np.array(_ROW_SCORES, dtype=np.float64)
 
 
 class VecBreakout(VecAtariGame):
@@ -47,7 +50,6 @@ class VecBreakout(VecAtariGame):
         self.bricks = np.ones((batch, _N_ROWS, _N_COLS), dtype=bool)
         self.ball_in_play = np.zeros(batch, dtype=bool)
         self.clears = np.zeros(batch, dtype=np.int64)
-        self._row_scores = np.array(_ROW_SCORES, dtype=np.float64)
 
     def _reset_slots(self, slots: np.ndarray) -> None:
         self.paddle_x[slots] = SCREEN_WIDTH / 2 - _PADDLE_W / 2
@@ -117,7 +119,7 @@ class VecBreakout(VecAtariGame):
                 idx = np.nonzero(hit)[0]
                 bricks[idx, row[idx], col[idx]] = False
                 vel[hit, 1] = -vel[hit, 1]
-                rewards[hit] += self._row_scores[row[hit]]
+                rewards[hit] += _ROW_SCORE_VALUES[row[hit]]
             cleared = in_band & ~bricks.any(axis=(1, 2))
             if cleared.any():
                 # Cleared the wall: new wall, slightly faster ball.
@@ -161,24 +163,11 @@ class VecBreakout(VecAtariGame):
                             _WALL)
         scr.fill_rect_slots(slots, _COURT_TOP, SCREEN_WIDTH - _WALL_W,
                             SCREEN_HEIGHT, _WALL_W, _WALL)
-        for k in slots:
-            k = int(k)
-            for i in range(self.lives[k]):
-                scr.fill_rect(k, 10, 10 + 8 * i, 5, 5, _PADDLE)
-        bricks = self.bricks[slots]
-        for row in range(_N_ROWS):
-            color = _ROW_COLORS[row]
-            top = _BRICK_TOP + row * _BRICK_H
-            for col in range(_N_COLS):
-                on = bricks[:, row, col]
-                if on.all():
-                    scr.fill_rect_slots(slots, top,
-                                        _WALL_W + col * _BRICK_W,
-                                        _BRICK_H - 1, _BRICK_W - 1, color)
-                elif on.any():
-                    scr.fill_rect_slots(slots[on], top,
-                                        _WALL_W + col * _BRICK_W,
-                                        _BRICK_H - 1, _BRICK_W - 1, color)
+        lives, bricks = grids()
+        scr.fill_grid_slots(slots, lives,
+                            _LIFE_INDEX < self.lives[slots, None])
+        scr.fill_grid_slots(slots, bricks,
+                            self.bricks[slots].reshape(slots.size, -1))
         for k in slots:
             k = int(k)
             scr.fill_rect(k, _PADDLE_Y, self.paddle_x[k], _PADDLE_H,

@@ -26,6 +26,16 @@ from repro.ale.games.qbert import (
 from repro.ale.vec.base import VecAtariGame
 from repro.perf.hotpath import hot_path
 
+# Per-action hop lookup tables.
+_MEANINGS = Qbert.ACTION_MEANINGS
+_HOP_IS = np.array([m in _HOPS for m in _MEANINGS], dtype=bool)
+_HOP_DROW = np.array([_HOPS.get(m, (0, 0))[0] for m in _MEANINGS],
+                     dtype=np.int64)
+_HOP_DCOL = np.array([_HOPS.get(m, (0, 0))[1] for m in _MEANINGS],
+                     dtype=np.int64)
+# Pyramid cells: cube (row, col) exists when col <= row.
+_PYRAMID = np.arange(_N_ROWS)[None, :] <= np.arange(_N_ROWS)[:, None]
+
 
 class VecQbert(VecAtariGame):
     """Structure-of-arrays Q*bert."""
@@ -46,15 +56,6 @@ class VecQbert(VecAtariGame):
         self.enemy_timer = np.zeros(batch, dtype=np.int64)
         self.round_ = np.zeros(batch, dtype=np.int64)
         self.respawn = np.zeros(batch, dtype=np.int64)
-        meanings = self.action_meanings
-        self._hop_is = np.array([m in _HOPS for m in meanings], dtype=bool)
-        self._hop_drow = np.array([_HOPS.get(m, (0, 0))[0]
-                                   for m in meanings], dtype=np.int64)
-        self._hop_dcol = np.array([_HOPS.get(m, (0, 0))[1]
-                                   for m in meanings], dtype=np.int64)
-        # Pyramid cells: cube (row, col) exists when col <= row.
-        rows = np.arange(_N_ROWS)
-        self._pyramid = rows[None, :] <= rows[:, None]
 
     def _start_round_slot(self, k: int) -> None:
         self.colored[k] = False
@@ -90,13 +91,13 @@ class VecQbert(VecAtariGame):
         timing = act & (ht > 0)
         ht[timing] -= 1
         resolve = timing & (ht == 0) & self.pending_present[s]
-        new_hop = act & ~timing & self._hop_is[actions]
+        new_hop = act & ~timing & _HOP_IS[actions]
         if new_hop.any():
             tgt = s[new_hop]
             self.pending_row[tgt] = self.player_row[tgt] + \
-                self._hop_drow[actions[new_hop]]
+                _HOP_DROW[actions[new_hop]]
             self.pending_col[tgt] = self.player_col[tgt] + \
-                self._hop_dcol[actions[new_hop]]
+                _HOP_DCOL[actions[new_hop]]
             self.pending_present[tgt] = True
             ht[new_hop] = Qbert.HOP_FRAMES
         self.hop_timer[s] = ht
@@ -168,7 +169,7 @@ class VecQbert(VecAtariGame):
             self.player_col[tgt] = 0
 
         # Pyramid complete: bonus, next (faster) round.
-        done = act & (self.colored[s] | ~self._pyramid).all(axis=(1, 2))
+        done = act & (self.colored[s] | ~_PYRAMID).all(axis=(1, 2))
         for kc in np.nonzero(done)[0]:
             k = int(s[kc])
             rewards[kc] += Qbert.ROUND_BONUS

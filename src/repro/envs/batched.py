@@ -10,9 +10,10 @@ Python calls.  Per slot it is bit-identical to
 observations, rewards, dones, infos and finished scores under the same
 seed and action sequence (see ``tests/test_envs_batched.py``).
 
-The frame-skip loop steps only still-active slots (``engine.step``
+The frame-skip loop advances only still-active slots (``engine.advance``
 accepts a slot subset), so a slot whose game ends mid-cycle drops out
-exactly where the scalar MaxAndSkip loop breaks.
+exactly where the scalar MaxAndSkip loop breaks, and draws only the
+frames the agent observes.
 """
 
 from __future__ import annotations
@@ -97,8 +98,17 @@ class BatchedVectorEnv:
                     actions: np.ndarray) -> typing.Tuple[np.ndarray,
                                                          np.ndarray]:
         """One MaxAndSkip cycle for ``slots``; the de-flickered frames land
-        in ``self._raw[slots]``.  Returns (total_rewards, dones)."""
+        in ``self._raw[slots]``.  Returns (total_rewards, dones).
+
+        Only the frames the agent sees are drawn, as the scalar
+        ``MaxAndSkip`` does: sub-frame ``skip-2`` of the slots that go on
+        to the last sub-frame, and each slot's final frame.  A slot whose
+        game ends at sub-frame ``j``, ``1 <= j <= skip-2``, shows frame
+        ``j-1`` too, drawn from the copy of its state saved before
+        sub-frame ``j``.
+        """
         engine = self.engine
+        first_seen = self.frame_skip - 2
         rewards = np.zeros(slots.size)
         dones = np.zeros(slots.size, dtype=bool)
         seen = np.zeros(slots.size, dtype=np.int64)
@@ -108,14 +118,25 @@ class BatchedVectorEnv:
             if idx.size == 0:
                 break
             current = slots[idx]
-            if sub:
-                self._prev[current] = engine.frames[current]
-            sub_rewards, sub_dones = engine.step(actions[idx], current)
+            if 0 < sub <= first_seen:
+                engine.save_slots(current)
+            sub_rewards, sub_dones = engine.advance(actions[idx], current)
             rewards[idx] += sub_rewards
             seen[idx] += 1
             dones[idx] = sub_dones
             alive[idx] = ~sub_dones
+            if sub == first_seen:
+                going_on = current[~sub_dones]
+                if going_on.size:
+                    engine.render(going_on)
+                    self._prev[going_on] = engine.frames[going_on]
         two = seen >= 2
+        # Ended before the last sub-frame, with an earlier frame to show.
+        early = slots[two & (seen < self.frame_skip)]
+        if early.size:
+            engine.render_saved(early)
+            self._prev[early] = engine.frames[early]
+        engine.render(slots)
         pair = slots[two]
         if pair.size:
             self._raw[pair] = np.maximum(engine.frames[pair],
@@ -189,7 +210,9 @@ class BatchedVectorEnv:
         dones = done_raw.copy()
         life_lost = np.zeros(batch, dtype=bool)
         if self.episodic_life:
-            life_lost = ~done_raw & (lives > 0) & (lives < self._lives)
+            # As EpisodicLife: a life lost in the step that hits the frame
+            # limit still counts as a life loss, so its score carries on.
+            life_lost = (lives > 0) & (lives < self._lives)
             dones |= life_lost
             self._ep_game_over = done_raw.copy()
         self._lives = lives

@@ -36,7 +36,8 @@ def _windows(x: np.ndarray, kernel: int, stride: int,
 
     ``order`` names the axes of the view: ``n`` (batch), ``c``
     (channel), ``i``/``j`` (kernel row/column) and ``h``/``w`` (output
-    row/column).  Reshaping the view to 2-D is the one gather copy.
+    row/column); a letter left out of ``order`` fixes that axis at 0.
+    Reshaping the view to 2-D is the one gather copy.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kernel, stride)
@@ -58,9 +59,21 @@ def im2col(x: np.ndarray, kernel: int,
     One row per output position, in ``(c, ki, kj)`` order: the
     C-contiguous left operand of the FW GEMM.  Returns the patch matrix
     and the output spatial shape ``(OH, OW)``.
+
+    Each kernel row of a window is ``K`` adjacent values of the
+    C-contiguous input, so the gather copies it as one ``np.void`` item
+    of ``K * itemsize`` bytes: the copy loop runs once per kernel row,
+    not once per value, and the bytes it moves are the same.
     """
-    view, (oh, ow) = _windows(x, kernel, stride, "nhwcij")
-    return view.reshape(-1, x.shape[1] * kernel * kernel), (oh, ow)
+    x = np.ascontiguousarray(x)
+    starts, (oh, ow) = _windows(x, kernel, stride, "nhwci")
+    run = kernel * x.itemsize
+    runs = np.lib.stride_tricks.as_strided(
+        x.view(np.uint8), shape=starts.shape + (run,),
+        strides=starts.strides + (1,), writeable=False)
+    rows = runs.view(np.dtype((np.void, run))).reshape(
+        -1, x.shape[1] * kernel)
+    return rows.view(x.dtype), (oh, ow)
 
 
 def im2col_transposed(x: np.ndarray, kernel: int,

@@ -1,6 +1,7 @@
 """Property-based tests over the simulated games: arbitrary action
-sequences must never violate the game invariants, and drawing from
-colour tiles must equal broadcasting the RGB tuple."""
+sequences must never violate the game invariants, drawing from colour
+tiles must equal broadcasting the RGB tuple, and drawing a cell grid in
+one masked copy must equal filling its cells one by one."""
 
 import importlib
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.ale import GAME_NAMES, make_game
-from repro.ale.games.base import Screen
+from repro.ale.games import breakout
+from repro.ale.games.base import Screen, rect_grid
 from repro.ale.vec.base import BatchScreen
 
 action_sequences = st.lists(st.integers(0, 17), min_size=1, max_size=120)
@@ -134,6 +136,24 @@ def _tuple_fill(pixels, top, left, height, width, color):
         pixels[..., t:b, l:r, :] = color
 
 
+@st.composite
+def lattices(draw):
+    """Non-overlapping cells on a lattice: each cell fits in its pitch,
+    and rounding is monotonic, so clipped cells may touch but never
+    overlap.  Lattices may straddle or leave the frame."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    top, left = draw(_coord(-30, 220)), draw(_coord(-30, 170))
+    pitch_y = draw(st.floats(1, 40, allow_nan=False))
+    pitch_x = draw(st.floats(1, 40, allow_nan=False))
+    height = draw(st.floats(0, 1)) * pitch_y
+    width = draw(st.floats(0, 1)) * pitch_x
+    colors = draw(st.lists(st.sampled_from(PALETTE), min_size=rows * cols,
+                           max_size=rows * cols))
+    return tuple((top + r * pitch_y, left + c * pitch_x, height, width,
+                  colors[r * cols + c])
+                 for r in range(rows) for c in range(cols))
+
+
 class TestColorTiles:
     def test_palette_covers_every_game(self):
         assert all(len(_palette(name)) >= 3 for name in GAME_NAMES)
@@ -187,6 +207,121 @@ class TestColorTiles:
                  "assert b.color_tile.cache_info().currsize == 1;"
                  "assert not b.color_tile((1, 2, 3), 210, 160)"
                  ".flags.writeable")
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+    # -- cell grids -----------------------------------------------------------
+
+    @staticmethod
+    def _noise(shape, seed):
+        return np.random.default_rng(seed).integers(0, 256, size=shape,
+                                                    dtype=np.uint8)
+
+    @staticmethod
+    def _cell_loop(fill, cells, on):
+        """The drawing a grid replaces: one ``fill_rect`` per cell on."""
+        for flag, (top, left, height, width, color) in zip(on, cells):
+            if flag:
+                fill(top, left, height, width, color)
+
+    @hypothesis.given(lattices(), st.integers(0, 2 ** 31 - 1))
+    @hypothesis.settings(max_examples=60, deadline=None)
+    def test_fill_grid_matches_fill_rect_loop(self, cells, seed):
+        rng = np.random.default_rng(seed)
+        grid = rect_grid(cells)
+        screen, expected = Screen(), Screen()
+        screen.pixels[:] = expected.pixels[:] = self._noise(
+            screen.pixels.shape, seed)
+        on = rng.random(len(cells)) < 0.6
+        screen.fill_grid(grid, on)
+        self._cell_loop(expected.fill_rect, cells, on)
+        np.testing.assert_array_equal(screen.pixels, expected.pixels)
+
+    @hypothesis.given(lattices(), st.lists(st.booleans(), min_size=4,
+                                         max_size=4),
+                      st.integers(0, 2 ** 31 - 1))
+    @hypothesis.settings(max_examples=60, deadline=None)
+    def test_fill_grid_slots_matches_fill_rect_loop(self, cells, mask,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        grid = rect_grid(cells)
+        screen, expected = BatchScreen(4), BatchScreen(4)
+        screen.pixels[:] = expected.pixels[:] = self._noise(
+            screen.pixels.shape, seed)
+        for slots in (np.arange(4), np.flatnonzero(mask)):
+            on = rng.random((slots.size, len(cells))) < 0.6
+            screen.fill_grid_slots(slots, grid, on)
+            for row, slot in zip(on, slots):
+                self._cell_loop(
+                    lambda *rect, k=slot: expected.fill_rect(k, *rect),
+                    cells, row)
+            np.testing.assert_array_equal(screen.pixels, expected.pixels)
+
+    def test_breakout_grids_match_fill_rect_loop(self):
+        """Every lives count, from none to past the cells that fit on
+        screen, and random brick walls, on one screen and per slot."""
+        lives_grid, brick_grid = breakout.grids()
+        rng = np.random.default_rng(0)
+        batch = 3
+        for lives in range(breakout.Breakout.START_LIVES + 25):
+            bricks = rng.random((batch, brick_grid.size)) < 0.7
+            screen, expected = BatchScreen(batch), BatchScreen(batch)
+            scalar = Screen()
+            screen.pixels[:] = expected.pixels[:] = self._noise(
+                screen.pixels.shape, lives)
+            scalar.pixels[:] = screen.pixels[0]
+            slot_lives = np.array([lives, lives // 2, 0])
+            for k in range(batch):
+                for i in range(slot_lives[k]):
+                    expected.fill_rect(k, 10, 10 + 8 * i, 5, 5,
+                                       breakout._PADDLE)
+                self._cell_loop(
+                    lambda *rect, k=k: expected.fill_rect(k, *rect),
+                    breakout._BRICK_CELLS, bricks[k])
+            slots = np.arange(batch)
+            screen.fill_grid_slots(
+                slots, lives_grid,
+                breakout._LIFE_INDEX < slot_lives[:, None])
+            screen.fill_grid_slots(slots, brick_grid, bricks)
+            np.testing.assert_array_equal(screen.pixels, expected.pixels)
+            scalar.fill_grid(lives_grid, breakout._LIFE_INDEX < lives)
+            scalar.fill_grid(brick_grid, bricks[0])
+            np.testing.assert_array_equal(scalar.pixels,
+                                          expected.pixels[0])
+
+    def test_overlapping_cells_raise(self):
+        color = PALETTE[0]
+        with pytest.raises(ValueError, match="overlaps"):
+            rect_grid(((0, 0, 5, 5, color), (3, 3, 5, 5, color)))
+        # Cells that only touch, or that clip away entirely, are fine.
+        grid = rect_grid(((0, 0, 5, 5, color), (0, 5, 5, 5, color),
+                          (300, 0, 5, 5, color)))
+        assert grid.size == 3
+        assert grid.valid.sum() == 50
+
+    def test_flag_count_is_checked(self):
+        grid = rect_grid(((0, 0, 5, 5, PALETTE[0]),))
+        with pytest.raises(ValueError):
+            Screen().fill_grid(grid, np.ones(2, dtype=bool))
+
+    def test_grids_are_read_only_and_built_on_first_use(self):
+        """Importing the engines builds no grid; the first Breakout
+        frame builds its two, read-only."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+        probe = ("import repro.ale, repro.envs, repro.ale.vec;"
+                 "from repro.ale.games.base import rect_grid;"
+                 "assert rect_grid.cache_info().currsize == 0;"
+                 "repro.ale.make_game('breakout').reset();"
+                 "assert rect_grid.cache_info().currsize == 2;"
+                 "from repro.ale.games.breakout import grids;"
+                 "assert not any(a.flags.writeable for g in grids()"
+                 " for a in (g.index, g.valid, g.colors))")
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", probe], check=True, env=env)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.ale import GAME_NAMES, make_game
+from repro.ale.vec import make_vec_game
 from repro.envs import BatchedVectorEnv, SyncVectorEnv, make_atari_env
+from repro.envs.wrappers import MaxAndSkip
 from repro.envs.batched import BatchPreprocessor
 from repro.envs.preprocessing import preprocess_frame
 
@@ -19,9 +21,16 @@ SEED = 17
 BATCH = 3
 
 
-def _scalar_vec(name, batch, seed, **kwargs):
+def _game(name, max_frames=None):
+    game = make_game(name)
+    if max_frames is not None:
+        game.MAX_FRAMES = max_frames
+    return game
+
+
+def _scalar_vec(name, batch, seed, max_frames=None, **kwargs):
     return SyncVectorEnv(
-        [lambda: make_atari_env(make_game(name), **kwargs)
+        [lambda: make_atari_env(_game(name, max_frames), **kwargs)
          for _ in range(batch)],
         seed=seed)
 
@@ -34,9 +43,36 @@ def _assert_steps_match(step_a, step_b, context):
     assert step_a.finished_scores == step_b.finished_scores, context
 
 
-def _run_pair(name, steps=150, batch=BATCH, seed=SEED, **kwargs):
-    batched = BatchedVectorEnv(name, num_envs=batch, seed=seed, **kwargs)
-    scalar = _scalar_vec(name, batch, seed, **kwargs)
+def _record_skip_frames(scalar):
+    """Patch every slot's ``MaxAndSkip`` to keep its latest frame.
+
+    That is the de-flickered frame the batched env leaves in ``_raw``,
+    also for a game that ends in the cycle, whose frame the vector env
+    then replaces by the reset observation."""
+    latest = [None] * scalar.num_envs
+    for index, env in enumerate(scalar.envs):
+        while not isinstance(env, MaxAndSkip):
+            env = env.env
+
+        def step(action, _step=env.step, _index=index):
+            result = _step(action)
+            latest[_index] = result[0]
+            return result
+        env.step = step
+    return latest
+
+
+def _run_pair(name, steps=150, batch=BATCH, seed=SEED, max_frames=None,
+              **kwargs):
+    """Step the batched and the scalar stack with the same random actions
+    and compare every result and every slot's latest MaxAndSkip frame;
+    ``max_frames`` overrides the games' frame limit in both."""
+    engine = make_vec_game(name, batch)
+    if max_frames is not None:
+        engine.max_frames = max_frames
+    batched = BatchedVectorEnv(engine, seed=seed, **kwargs)
+    scalar = _scalar_vec(name, batch, seed, max_frames, **kwargs)
+    skip_frames = _record_skip_frames(scalar)
     obs_b = batched.reset()
     obs_s = scalar.reset()
     assert obs_b.dtype == obs_s.dtype == np.float32
@@ -44,9 +80,12 @@ def _run_pair(name, steps=150, batch=BATCH, seed=SEED, **kwargs):
     rng = np.random.default_rng(99)
     for step in range(steps):
         actions = rng.integers(0, batched.action_space.n, size=batch)
+        context = (name, step, kwargs)
         _assert_steps_match(batched.step(actions),
-                            scalar.step(actions.tolist()),
-                            (name, step, kwargs))
+                            scalar.step(actions.tolist()), context)
+        for index, frame in enumerate(skip_frames):
+            if frame is not None:
+                assert np.array_equal(batched._raw[index], frame), context
     batched.close()
     scalar.close()
 
@@ -70,6 +109,50 @@ def test_time_limit_truncation():
 
 def test_frame_skip_and_stack_variants():
     _run_pair("seaquest", steps=80, frame_skip=2, stack=2)
+
+
+def _first_life_loss(name, batch, frame_skip, cap=2000):
+    """Frames emulated by the end of the first step in which a slot of
+    ``_run_pair``'s scalar stack loses a life (None if none does within
+    ``cap`` frames).  Until a game ends, every slot has emulated the same
+    number of frames, a multiple of ``frame_skip``."""
+    scalar = _scalar_vec(name, batch, SEED, frame_skip=frame_skip)
+    scalar.reset()
+    rng = np.random.default_rng(99)
+    n = scalar.action_space.n
+    for step in range(1, cap // frame_skip + 1):
+        result = scalar.step(rng.integers(0, n, size=batch).tolist())
+        if any(info.get("life_lost") for info in result.infos):
+            return step * frame_skip
+        if result.finished_scores:
+            return None
+    return None
+
+
+SKIP_CYCLE = [(skip, sub) for skip in (1, 2, 3, 4) for sub in range(skip)]
+
+
+@pytest.mark.parametrize("skip,sub", SKIP_CYCLE,
+                         ids=[f"skip{s}-sub{j}" for s, j in SKIP_CYCLE])
+@pytest.mark.parametrize("name", GAME_NAMES)
+def test_game_over_at_every_sub_frame(name, skip, sub):
+    """Every game ends at sub-frame ``sub`` of a MaxAndSkip cycle.
+
+    The frame limit is set so that the slot that loses the first life
+    ends its game in the NOOP cycle of the pseudo-reset that follows,
+    while the other slot ends its game at the same sub-frame of an
+    ordinary step the step after.  So both a pseudo-reset and a full
+    reset meet a game over at each sub-frame, including those whose
+    previous frame was never drawn."""
+    batch = 2
+    lost_at = _first_life_loss(name, batch, skip)
+    if make_game(name).START_LIVES > 1:
+        assert lost_at is not None, "no life lost: pick another seed"
+    start = lost_at if lost_at is not None else 3 * skip
+    limit = start + sub + 1
+    steps = start // skip + 3
+    _run_pair(name, steps=steps, batch=batch, max_frames=limit,
+              frame_skip=skip)
 
 
 def test_reset_after_steps_matches():

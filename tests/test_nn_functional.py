@@ -209,6 +209,73 @@ class TestConvMatchesEinsumBitForBit:
                         policy=policy_for(precision))
 
 
+# -- the per-value gather im2col replaced (reference only) -------------------
+
+def _strided_im2col(x, kernel, stride):
+    """Reshape a ``(n, oh, ow, c, ki, kj)`` window view: a copy that
+    moves one value at a time."""
+    n, c, h, w = x.shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    sn, sc, sh, sw = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, shape=(n, oh, ow, c, kernel, kernel),
+        strides=(sn, sh * stride, sw * stride, sc, sh, sw))
+    return view.reshape(-1, c * kernel * kernel), (oh, ow)
+
+
+class TestGatherMatchesStridedReshape:
+    """Copying whole kernel rows moves the same bytes as the per-value
+    strided reshape, for every dtype and input layout."""
+
+    @staticmethod
+    def _check(x, kernel, stride):
+        got, shape = F.im2col(x, kernel, stride)
+        want, want_shape = _strided_im2col(x, kernel, stride)
+        bits = np.dtype(f"u{x.itemsize}")
+        assert shape == want_shape
+        assert got.shape == want.shape
+        assert got.dtype == x.dtype
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("layer", ["Conv1", "Conv2"])
+    def test_a3c_layers(self, layer, dtype):
+        c, size, _o, k, stride = A3C_CONVS[layer]
+        for batch in (1, 5, 16):
+            x = np.random.default_rng(batch).standard_normal(
+                (batch, c, size, size)).astype(dtype)
+            self._check(x, k, stride)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("shape", SMALL_CONVS, ids=str)
+    def test_small_odd_shapes(self, shape, dtype):
+        c, size, _o, k, stride = shape
+        for batch in range(1, 9):
+            x = np.random.default_rng(batch).standard_normal(
+                (batch, c, size, size)).astype(dtype)
+            self._check(x, k, stride)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_non_contiguous_input(self, dtype):
+        base = np.random.default_rng(0).standard_normal(
+            (3, 5, 11, 13)).astype(dtype)
+        for x in (base[:, ::2], base[..., 1:], base.transpose(0, 1, 3, 2),
+                  base[::-1, :, ::2, ::-1]):
+            assert not x.flags.c_contiguous
+            self._check(x, 3, 2)
+            self._check(x, 2, 1)
+
+    @hypothesis.given(small_conv, st.integers(0, 2 ** 31 - 1))
+    @hypothesis.settings(max_examples=25, deadline=None)
+    def test_random_small_shapes(self, dims, seed):
+        n, c, _o, (size, k, stride) = dims
+        x = np.random.default_rng(seed).standard_normal(
+            (n, c, size, size)).astype(np.float32)
+        self._check(x, k, stride)
+
+
 class TestGradients:
     def _conv_setup(self, seed=0):
         rng = np.random.default_rng(seed)
