@@ -16,12 +16,11 @@ Commands:
   attribution), optionally re-exporting a folded flamegraph profile;
   ``--run <id>`` renders a run directory instead (merged tables,
   per-worker breakdown, health events).
-* ``bench``   — the perf-baseline gate: ``--baseline`` snapshots IPS +
-  cycle-attribution shares per scenario into ``BENCH_fa3c.json``;
-  ``--check`` re-runs the scenarios and exits non-zero on regression.
-  ``--latency`` records the modelled per-request latency distribution
-  (HDR buckets + p50/p99/p999) into ``BENCH_latency.json`` with an
-  informational p99 gate.
+* ``bench``   — the exact modelled-number gate: ``--baseline`` records
+  every run's IPS, sim seconds, utilisation, bucket shares, latency and
+  metrics digests (:mod:`repro.obs.prof.baseline`) into
+  ``BENCH_fa3c.json``; ``--check`` re-runs them and exits non-zero
+  naming each run and field that differs.
 * ``runs``    — run-directory tooling (:mod:`repro.obs.runlog`):
   ``runs list`` tabulates recorded runs, ``runs diff <a> <b>`` reports
   metric and scenario deltas between two runs.
@@ -264,26 +263,11 @@ def cmd_backends_list(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.obs.prof import baseline as bench
-
-    modes = sum(1 for mode in (args.wallclock, args.latency,
-                               args.ablation) if mode)
-    if modes > 1:
-        print("bench: --wallclock, --latency, and --ablation are "
-              "mutually exclusive")
-        return 2
-    runlog = _open_runlog(args, "bench",
-                          wallclock=bool(args.wallclock),
-                          latency=bool(args.latency),
-                          ablation=args.ablation or "")
+    runlog = _open_runlog(args, "bench", ablation=args.ablation or "")
     if args.ablation:
         code = _cmd_bench_ablation(args, runlog)
-    elif args.wallclock:
-        code = _cmd_bench_wallclock(args, bench, runlog)
-    elif args.latency:
-        code = _cmd_bench_latency(args, bench, runlog)
     else:
-        code = _cmd_bench_modelled(args, bench, runlog)
+        code = _cmd_bench_modelled(args, runlog)
     if runlog is not None:
         runlog.finish(outcome={0: "ok", 1: "regression"}.get(
             code, "error"))
@@ -302,239 +286,80 @@ def _cmd_bench_ablation(args, runlog=None) -> int:
     return 0
 
 
-def _cmd_bench_modelled(args, bench, runlog=None) -> int:
-    if args.file is None:
-        args.file = bench.DEFAULT_BASELINE
-    names = list(args.scenarios) if args.scenarios else None
-    base = None
-    if args.check:
+def _cmd_bench_modelled(args, runlog=None) -> int:
+    import os
+
+    from repro.obs.prof import baseline as bench
+
+    path = args.file or bench.DEFAULT_BASELINE
+    subset = bool(args.scenarios or args.platform)
+    try:
+        runs = bench.select(args.scenarios, args.platform)
+    except ValueError as exc:
+        print(f"bench: {exc}")
+        return 2
+    recorded = None
+    # A subset --baseline replaces only its own runs in the record.
+    if args.check or (args.baseline and subset and os.path.exists(path)):
         try:
-            base = bench.load_snapshot(args.file)
+            recorded = bench.load(path)
         except (OSError, ValueError) as exc:
-            print(f"bench: cannot load baseline {args.file}: {exc}")
+            print(f"bench: cannot load baseline {path}: {exc}")
             return 2
-        if names is None:
-            names = sorted(base.get("scenarios") or {})
-    if names is None:
-        names = bench.scenario_names(backend=args.platform)
-    elif args.platform:
-        allowed = set(bench.scenario_names(backend=args.platform))
-        names = [name for name in names if name in allowed]
 
-    failures: typing.List[str] = []
-    scenarios: typing.Dict[str, typing.Dict[str, object]] = {}
-    for name in names:
-        try:
-            entry, report = bench.run_scenario(name)
-        except ValueError as exc:
-            failures.append(str(exc))
-            continue
-        scenarios[name] = entry
+    current: typing.Dict[str, typing.Any] = {"version": bench.VERSION,
+                                             "runs": {}}
+    summary = {}
+    for run in runs:
+        measured = bench.measure(run)
+        current["runs"][run.key] = measured.entry
+        shares = measured.report.bucket_shares()
+        summary[run.key] = {"ips": measured.result.ips, "buckets": shares}
         buckets = " ".join(f"{bucket}={share:.3f}" for bucket, share
-                           in entry["buckets"].items())
-        print(f"{name}: ips={entry['ips']:.1f} {buckets}")
+                           in sorted(shares.items()))
+        p50, p99 = (measured.result.latency_percentile(q) * 1e6
+                    for q in (50.0, 99.0))
+        print(f"{run.key}: ips={measured.result.ips:.1f} {buckets} "
+              f"p50={p50:.1f}us p99={p99:.1f}us")
         if args.report_dir:
-            _write_bench_report(args.report_dir, name, report)
-
-    current = {
-        "version": bench.SNAPSHOT_VERSION,
-        "tolerances": {
-            "ips_rtol": args.ips_tolerance
-            if args.ips_tolerance is not None else bench.DEFAULT_IPS_RTOL,
-            "share_atol": args.share_tolerance
-            if args.share_tolerance is not None
-            else bench.DEFAULT_SHARE_ATOL,
-        },
-        "scenarios": scenarios,
-    }
+            _write_bench_report(args.report_dir, run.key, measured.report)
+    if bench.TRACED in current["runs"]:
+        current["trace"] = bench.trace()
     if runlog is not None:
-        runlog.update(scenarios=scenarios,
-                      tolerances=current["tolerances"])
+        runlog.update(scenarios=summary)
+
     if args.baseline:
-        bench.write_snapshot(current, args.file)
-        print(f"baseline: {len(scenarios)} scenarios -> {args.file}")
+        record = current
+        if subset and recorded is not None:
+            record = {**recorded, **current,
+                      "runs": {**recorded["runs"], **current["runs"]}}
+        bench.write(record, path)
+        print(f"baseline: {len(current['runs'])} runs -> {path}")
     if args.check:
-        compare = base
-        if args.scenarios or args.platform:
-            # Only gate the requested subset; flag requested scenarios
-            # the baseline has never recorded.
-            recorded = base.get("scenarios") or {}
-            for name in names:
-                if name not in recorded:
-                    failures.append(f"{name}: not in baseline "
-                                    f"{args.file}")
-            compare = dict(base)
-            compare["scenarios"] = {name: entry for name, entry
-                                    in recorded.items()
-                                    if name in set(names)}
-        failures.extend(bench.check_snapshot(
-            compare, current, ips_rtol=args.ips_tolerance,
-            share_atol=args.share_tolerance))
+        failures = bench.check(recorded, current)
         if failures:
             print(f"\nPERF GATE FAILED ({len(failures)} finding(s)):")
             for failure in failures:
                 print(f"  - {failure}")
-            print("If the change is intentional, refresh the snapshot "
-                  "with `repro bench --baseline`.")
+            print("If a modelled number is meant to change, re-record "
+                  "with `repro bench --baseline`, say so in CHANGES.md "
+                  "and review the record's diff.")
             return 1
-        print(f"\nperf gate OK: {len(scenarios)} scenarios within "
-              "tolerance of " + str(args.file))
-    return 0
-
-
-def _cmd_bench_wallclock(args, bench, runlog=None) -> int:
-    """Host-time bench: routines/sec per scenario, loose gate.
-
-    Unlike the modelled-IPS gate this measures wall clock, so the check
-    is informational with a wide tolerance (see
-    ``DEFAULT_WALLCLOCK_RTOL``) — CI treats it as a smoke signal, not a
-    hard gate.
-    """
-    path = args.file or bench.DEFAULT_WALLCLOCK_BASELINE
-    names = list(args.scenarios) if args.scenarios else None
-    base = None
-    if args.check:
-        try:
-            base = bench.load_wallclock(path)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot load wall-clock baseline {path}: "
-                  f"{exc}")
-            return 2
-        if names is None:
-            names = sorted(base.get("scenarios") or {})
-    if names is None and args.platform:
-        names = bench.scenario_names(backend=args.platform)
-    elif names is not None and args.platform:
-        allowed = set(bench.scenario_names(backend=args.platform))
-        names = [name for name in names if name in allowed]
-
-    failures: typing.List[str] = []
-    try:
-        current = bench.collect_wallclock(names, repeats=args.repeats)
-    except ValueError as exc:
-        print(f"bench: {exc}")
-        return 2
-    for name, entry in current["scenarios"].items():
-        print(f"{name}: {entry['routines_per_second']:.1f} routines/s "
-              f"({entry['wall_seconds']:.4f}s)")
-    print(f"total: {current['total_wall_seconds']:.4f}s")
-    if runlog is not None:
-        runlog.update(scenarios=current["scenarios"],
-                      total_wall_seconds=current["total_wall_seconds"])
-
-    if args.baseline:
-        bench.write_snapshot(current, path)
-        print(f"wall-clock baseline: "
-              f"{len(current['scenarios'])} scenarios -> {path}")
-    if args.check:
-        compare = base
-        if names is not None:
-            # Only gate the requested subset; flag requested scenarios
-            # the baseline has never recorded.
-            recorded = base.get("scenarios") or {}
-            for name in names:
-                if name not in recorded:
-                    failures.append(f"{name}: not in baseline {path}")
-            compare = dict(base)
-            compare["scenarios"] = {name: entry for name, entry
-                                    in recorded.items()
-                                    if name in set(names)}
-        failures.extend(bench.check_wallclock(compare, current))
-        if failures:
-            print(f"\nWALL-CLOCK SMOKE FAILED ({len(failures)} "
-                  "finding(s)):")
-            for failure in failures:
-                print(f"  - {failure}")
-            print("Wall clock is host-dependent; refresh with "
-                  "`repro bench --wallclock --baseline` if the "
-                  "hardware or the intended performance changed.")
-            return 1
-        print(f"\nwall-clock smoke OK: "
-              f"{len(current['scenarios'])} scenarios within "
-              f"tolerance of {path}")
-    return 0
-
-
-def _cmd_bench_latency(args, bench, runlog=None) -> int:
-    """Latency bench: modelled per-request distribution per scenario.
-
-    Sim-time latencies are deterministic, so the committed HDR bucket
-    counts diff bit-for-bit; the p99 check is still informational with
-    a wide tolerance (see ``DEFAULT_LATENCY_RTOL``) because a one-bucket
-    quantisation shift can move a percentile by ~12 %.
-    """
-    path = args.file or bench.DEFAULT_LATENCY_BASELINE
-    names = list(args.scenarios) if args.scenarios else None
-    base = None
-    if args.check:
-        try:
-            base = bench.load_latency(path)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot load latency baseline {path}: {exc}")
-            return 2
-        if names is None:
-            names = sorted(base.get("scenarios") or {})
-    if names is None and args.platform:
-        names = bench.scenario_names(backend=args.platform)
-    elif names is not None and args.platform:
-        allowed = set(bench.scenario_names(backend=args.platform))
-        names = [name for name in names if name in allowed]
-
-    failures: typing.List[str] = []
-    try:
-        current = bench.collect_latency(names)
-    except ValueError as exc:
-        print(f"bench: {exc}")
-        return 2
-    for name, entry in current["scenarios"].items():
-        print(f"{name}: p50={entry['p50_us']}us p99={entry['p99_us']}us "
-              f"p999={entry['p999_us']}us "
-              f"({entry['requests']} requests)")
-    if runlog is not None:
-        runlog.update(scenarios=current["scenarios"],
-                      tolerances=current["tolerances"])
-
-    if args.baseline:
-        bench.write_snapshot(current, path)
-        print(f"latency baseline: {len(current['scenarios'])} "
-              f"scenarios -> {path}")
-    if args.check:
-        compare = base
-        if names is not None:
-            # Only gate the requested subset; flag requested scenarios
-            # the baseline has never recorded.
-            recorded = base.get("scenarios") or {}
-            for name in names:
-                if name not in recorded:
-                    failures.append(f"{name}: not in baseline {path}")
-            compare = dict(base)
-            compare["scenarios"] = {name: entry for name, entry
-                                    in recorded.items()
-                                    if name in set(names)}
-        failures.extend(bench.check_latency(compare, current))
-        if failures:
-            print(f"\nLATENCY GATE (informational) FAILED "
-                  f"({len(failures)} finding(s)):")
-            for failure in failures:
-                print(f"  - {failure}")
-            print("Tail latency moved; if the change is intentional, "
-                  "refresh with `repro bench --latency --baseline` "
-                  "and review the hdr bucket diff.")
-            return 1
-        print(f"\nlatency gate OK: "
-              f"{len(current['scenarios'])} scenarios within "
-              f"tolerance of {path}")
+        print(f"\nperf gate OK: {len(current['runs'])} runs match "
+              f"{path} exactly")
     return 0
 
 
 def _write_bench_report(report_dir: str, name: str, report) -> None:
-    """Per-scenario attribution artifacts for the CI perf-gate upload."""
+    """Per-run attribution artifacts for the CI perf-gate upload, named
+    after the run key with ``/`` as ``_`` (``fa3c-n8_8.txt``)."""
     import os
 
     from repro.obs.prof import write_folded
 
     os.makedirs(report_dir, exist_ok=True)
-    write_folded(report, os.path.join(report_dir, f"{name}.folded"))
+    stem = os.path.join(report_dir, name.replace("/", "_"))
+    write_folded(report, f"{stem}.folded")
     sections = []
     if report.has_fpga:
         sections.append(format_table(
@@ -545,8 +370,7 @@ def _write_bench_report(report_dir: str, name: str, report) -> None:
     if report.has_gpu:
         sections.append(format_table(
             report.gpu_rows(), title=f"{name}: GPU time attribution"))
-    with open(os.path.join(report_dir, f"{name}.txt"), "w",
-              encoding="utf-8") as handle:
+    with open(f"{stem}.txt", "w", encoding="utf-8") as handle:
         handle.write("\n\n".join(sections) + "\n")
 
 
@@ -869,41 +693,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="perf-baseline gate over the scenario matrix")
+        help="exact modelled-number gate over the recorded runs")
     bench.add_argument("--baseline", action="store_true",
-                       help="write the measured snapshot to --file")
+                       help="write the measured runs into --file")
     bench.add_argument("--check", action="store_true",
-                       help="diff against --file; non-zero exit on "
-                            "regression")
-    bench.add_argument("--wallclock", action="store_true",
-                       help="measure host-side wall clock instead of "
-                            "modelled IPS (loose, informational gate)")
-    bench.add_argument("--latency", action="store_true",
-                       help="record the modelled per-request latency "
-                            "distribution instead of IPS "
-                            "(informational p99 gate)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="wall-clock repeats per scenario; best-of "
-                            "is recorded (default: 3)")
+                       help="compare exactly with --file; non-zero "
+                            "exit on any difference")
     bench.add_argument("--file", default=None,
-                       help="baseline snapshot path (default: "
-                            "BENCH_fa3c.json; BENCH_wallclock.json "
-                            "with --wallclock; BENCH_latency.json "
-                            "with --latency)")
+                       help="record path (default: BENCH_fa3c.json)")
     bench.add_argument("--scenarios", nargs="+", default=None,
-                       help="subset of scenario names to run")
+                       help="only run these scenarios (each at every "
+                            "recorded agent count)")
     bench.add_argument("--platform", choices=backend_names,
                        default=None,
                        help="only run scenarios of this backend "
                             "(registry name, e.g. fa3c-fpga)")
-    bench.add_argument("--ips-tolerance", type=float, default=None,
-                       help="allowed relative IPS drop (overrides the "
-                            "baseline's tolerance)")
-    bench.add_argument("--share-tolerance", type=float, default=None,
-                       help="allowed absolute bucket-share drift "
-                            "(overrides the baseline's tolerance)")
     bench.add_argument("--report-dir", default=None,
-                       help="write per-scenario attribution tables and "
+                       help="write per-run attribution tables and "
                             "folded profiles here")
     bench.add_argument("--ablation", choices=["precision"],
                        default=None,

@@ -7,7 +7,8 @@ aggregates per-CU / per-layer / per-stage with a hard buckets-sum-to-
 total invariant (:mod:`~repro.obs.prof.attribution`); exports feed
 flamegraph viewers (:mod:`~repro.obs.prof.folded`), the measured-vs-
 roofline gap report (:mod:`~repro.obs.prof.roofline_gap`) and the
-``repro bench`` perf-regression gate (:mod:`~repro.obs.prof.baseline`).
+exact modelled record behind ``repro bench``
+(:mod:`~repro.obs.prof.baseline`).
 
 ``baseline`` and ``roofline_gap`` import the platform models, which in
 turn import :mod:`repro.obs` — so they are exposed lazily (PEP 562) to
@@ -29,14 +30,6 @@ from repro.obs.prof.folded import folded_lines, read_folded, write_folded
 
 _LAZY_MODULES = ("baseline", "roofline_gap")
 _LAZY_NAMES = {
-    "DEFAULT_BASELINE": "baseline",
-    "SCENARIOS": "baseline",
-    "check_snapshot": "baseline",
-    "collect_snapshot": "baseline",
-    "load_snapshot": "baseline",
-    "run_scenario": "baseline",
-    "scenario_names": "baseline",
-    "write_snapshot": "baseline",
     "fpga_roofline_gap_rows": "roofline_gap",
 }
 

@@ -1,60 +1,43 @@
-"""Perf baselines: named scenarios, ``BENCH_fa3c.json`` snapshots, checks.
+"""The modelled record: named runs, ``BENCH_fa3c.json``, the exact check.
 
-The simulator is a deterministic discrete-event model, so identical code
-produces bit-identical IPS and attribution — any drift in a snapshot
-diff is a real behaviour change.  That makes tight tolerances practical:
-the defaults allow 5 % relative IPS drop and 2 percentage points of
-bucket-share drift, there to absorb intentional small remodelling
-without a baseline refresh, not measurement noise.
+The simulators are deterministic discrete-event models in pure-Python
+float arithmetic, so identical code produces bit-identical modelled
+numbers on every host.  The record therefore stores them exactly — every
+scalar as ``float.hex``, every bulk output as a SHA-256 digest — and
+:func:`check` compares them exactly, in both directions.  Any difference
+is a behaviour change, named by run and field.
+
+Per run (:data:`RUNS`) the record holds IPS, simulated seconds, CU
+utilisation and each cause-bucket share, a digest of the per-request
+inference latencies, and a digest of the full metrics snapshot (the FPGA
+cycle attribution per CU, task, stage, layer and bucket, DRAM traffic,
+GPU time buckets, end-of-run gauges).  Once per file it holds a digest of
+every stage span one FPGA run's tracer records (:data:`TRACED`).
 
 Workflow (see docs/observability.md):
 
-* ``repro bench --baseline`` runs the scenario matrix and (re)writes the
-  committed ``BENCH_fa3c.json`` — IPS plus cause-bucket shares per
-  scenario, no timestamps, so the file diffs cleanly in review;
-* ``repro bench --check`` re-runs the scenarios named in the snapshot
-  and exits non-zero listing every out-of-tolerance metric (the CI
-  ``perf-gate`` job).
+* ``repro bench --baseline`` measures runs and writes them into the
+  record; a subset (``--scenarios``/``--platform``) replaces only its
+  own runs.  Re-record only when a modelled number is meant to change;
+  the record's diff shows which runs moved;
+* ``repro bench --check`` re-measures and exits non-zero listing every
+  run and field that differs (the CI ``perf-gate`` job);
+* ``tests/test_sim_golden.py`` checks every run through the same
+  :func:`load`, :func:`measure` and :func:`check`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import time
 import typing
 
 from repro import obs
 from repro.obs.prof.attribution import AttributionReport
 
-#: The committed snapshot at the repo root.
+#: The committed record at the repo root.
 DEFAULT_BASELINE = "BENCH_fa3c.json"
-SNAPSHOT_VERSION = 1
-
-#: Allowed relative IPS drop before the gate fails.
-DEFAULT_IPS_RTOL = 0.05
-#: Allowed absolute drift of one bucket's share (0.02 = 2 points).
-DEFAULT_SHARE_ATOL = 0.02
-
-#: The committed wall-clock snapshot (host time, not modelled time).
-DEFAULT_WALLCLOCK_BASELINE = "BENCH_wallclock.json"
-WALLCLOCK_VERSION = 1
-
-#: Wall clock is hardware- and load-dependent, so the check is loose and
-#: informational — it catches order-of-magnitude regressions (a fast
-#: path accidentally disabled), not noise.  The modelled-IPS gate above
-#: stays strict.
-DEFAULT_WALLCLOCK_RTOL = 0.5
-
-#: The committed per-scenario latency-distribution snapshot.
-DEFAULT_LATENCY_BASELINE = "BENCH_latency.json"
-LATENCY_VERSION = 1
-
-#: The p99 gate is informational (like the wall-clock gate): sim-time
-#: latencies are deterministic, but HDR quantisation means a one-bucket
-#: shift can move a percentile by ~12 %, so the tolerance is wider than
-#: the IPS gate's.  Exact distribution changes still show up in the
-#: committed ``hdr`` counts, which diff bit-for-bit.
-DEFAULT_LATENCY_RTOL = 0.25
+VERSION = 2
 
 
 class Scenario(typing.NamedTuple):
@@ -67,6 +50,11 @@ class Scenario(typing.NamedTuple):
     t_max: int = 5
     routines: int = 25
     host: str = ""                        # "" = default HostModel
+
+    @property
+    def key(self) -> str:
+        """The run's key in the record: ``<name>/<agents>``."""
+        return f"{self.name}/{self.num_agents}"
 
     def build(self):
         """A fresh backend instance (default topology) for one run."""
@@ -104,334 +92,209 @@ SCENARIOS: typing.Tuple[Scenario, ...] = (
     Scenario("a3c-tf-cpu-n8", "a3c-tf-cpu"),
     # Precision-parametric datapaths: same FA3C microarchitecture at
     # narrower operand storage (more words per DRAM beat, more PEs per
-    # DSP budget).  Separate scenarios so the fp32 entries above stay
-    # untouched — their gate is zero-drift by construction.
+    # DSP budget).  Separate scenarios so that adding them left every
+    # recorded fp32 run unchanged.
     Scenario("fa3c-fp16-n8", "fa3c-fp16"),
     Scenario("fa3c-int8-n8", "fa3c-int8"),
 )
 
-_BY_NAME = {scenario.name: scenario for scenario in SCENARIOS}
+#: Agent counts every scenario is recorded at: one agent (no queueing),
+#: a partly loaded and a saturated platform.
+AGENTS = (1, 3, 8)
+
+#: FPGA configurations at 6 agents and 8 routines per agent: the
+#: proposed design, no double buffering, a single combined CU, the Alt2
+#: layout and one CU pair.
+VARIANTS: typing.Tuple[Scenario, ...] = (
+    Scenario("fa3c", "fa3c-fpga", num_agents=6, routines=8),
+    Scenario("nodb", "fa3c-fpga", (("double_buffering", False),),
+             num_agents=6, routines=8),
+    Scenario("single-cu", "fa3c-single-cu", num_agents=6, routines=8),
+    Scenario("alt2", "fa3c-alt2", num_agents=6, routines=8),
+    Scenario("one-pair", "fa3c-fpga", (("cu_pairs", 1),),
+             num_agents=6, routines=8),
+)
+
+#: Every recorded run: each scenario at each of :data:`AGENTS`, then the
+#: variants.
+RUNS: typing.Tuple[Scenario, ...] = tuple(
+    scenario._replace(num_agents=agents)
+    for scenario in SCENARIOS for agents in AGENTS) + VARIANTS
+
+RUNS_BY_KEY = {run.key: run for run in RUNS}
+
+#: The run whose stage spans the record pins.
+TRACED = "fa3c-n8/8"
 
 
-def scenario_names(backend: typing.Optional[str] = None
-                   ) -> typing.List[str]:
-    """Scenario names, optionally only those of one registry backend."""
-    return [scenario.name for scenario in SCENARIOS
-            if backend is None or scenario.backend == backend]
+def select(names: typing.Optional[typing.Sequence[str]] = None,
+           backend: typing.Optional[str] = None) -> typing.List[Scenario]:
+    """The runs of the named scenarios (all if none are named),
+    optionally only those of one registry backend."""
+    known = {run.name for run in RUNS}
+    unknown = sorted(set(names or ()) - known)
+    if unknown:
+        raise ValueError(f"unknown scenario {', '.join(unknown)}; known: "
+                         f"{', '.join(sorted(known))}")
+    return [run for run in RUNS
+            if (not names or run.name in names)
+            and (backend is None or run.backend == backend)]
 
 
-def run_scenario(name: str) -> typing.Tuple[typing.Dict[str, object],
-                                            AttributionReport]:
-    """Run one scenario under a fresh metrics scope.
+class Measured(typing.NamedTuple):
+    """One run: its record entry and what produced it."""
 
-    Returns the snapshot entry (rounded for diff-stable JSON) and the
-    validated attribution report backing it.
-    """
-    try:
-        scenario = _BY_NAME[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; known: "
-            f"{', '.join(scenario_names())}") from None
+    entry: typing.Dict[str, object]
+    result: typing.Any                   # repro.platforms.ThroughputResult
+    report: typing.Optional[AttributionReport]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _canonical(value):
+    """``value`` with every float as ``float.hex``, for exact digests."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def _run(run: Scenario, platform=None):
     from repro.platforms import measure_ips
-    platform = scenario.build()
-    with obs.enabled_scope(reset=True):
-        result = measure_ips(platform, scenario.num_agents,
-                             t_max=scenario.t_max,
-                             routines_per_agent=scenario.routines,
-                             host=scenario.build_host())
-        report = AttributionReport.from_registry(obs.metrics()).validate()
-    shares = report.bucket_shares()
-    entry = {
-        "ips": round(result.ips, 3),
-        "buckets": {bucket: round(share, 4)
-                    for bucket, share in sorted(shares.items())},
-    }
-    return entry, report
+    return measure_ips(platform or run.build(), run.num_agents,
+                       t_max=run.t_max, routines_per_agent=run.routines,
+                       host=run.build_host())
 
 
-def run_wallclock_scenario(name: str, repeats: int = 3
-                           ) -> typing.Dict[str, object]:
-    """Best-of-``repeats`` host-side timing of one scenario.
+def measure(run: Scenario, observe: bool = True) -> Measured:
+    """Run ``run`` and build its record entry.
 
-    Telemetry stays in its ambient state (off for the committed
-    snapshot): this measures the production fast path, and the first
-    repeat warms the stage-plan caches so the best-of reflects the
-    steady state.  Modelled numbers are ignored here — only host
-    routines/second matter.
+    With ``observe`` the run collects metrics in a fresh scope and the
+    entry is complete; without, telemetry stays in its ambient state and
+    the entry holds only the fields that do not need it (``ips``,
+    ``sim_seconds``, ``utilisation``, ``latencies``), which must equal
+    the observed run's.
     """
-    try:
-        scenario = _BY_NAME[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; known: "
-            f"{', '.join(scenario_names())}") from None
-    from repro.platforms import ThroughputSetup
-    setup = ThroughputSetup(scenario.build(), scenario.build_host())
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        setup.measure(scenario.num_agents, t_max=scenario.t_max,
-                      routines_per_agent=scenario.routines)
-        best = min(best, time.perf_counter() - started)
-    routines = scenario.num_agents * scenario.routines
-    return {
-        "wall_seconds": round(best, 4),
-        "routines_per_second": round(routines / best, 1),
+    report = None
+    if observe:
+        with obs.enabled_scope(reset=True):
+            result = _run(run)
+            rows = obs.metrics().snapshot()
+            report = AttributionReport.from_registry(
+                obs.metrics()).validate()
+    else:
+        result = _run(run)
+    entry: typing.Dict[str, object] = {
+        "ips": float(result.ips).hex(),
+        "sim_seconds": float(result.sim_seconds).hex(),
+        "utilisation": float(result.utilisation).hex(),
+        "latencies": _sha(",".join(float(value).hex() for value
+                                   in result.inference_latencies)),
     }
+    if report is not None:
+        entry["buckets"] = {bucket: float(share).hex() for bucket, share
+                            in sorted(report.bucket_shares().items())}
+        entry["metrics"] = _sha(json.dumps(_canonical(rows),
+                                           sort_keys=True))
+    return Measured(entry, result, report)
 
 
-def collect_wallclock(names: typing.Optional[
-                          typing.Sequence[str]] = None,
-                      repeats: int = 3,
-                      rtol: float = DEFAULT_WALLCLOCK_RTOL
-                      ) -> typing.Dict[str, object]:
-    """Run the wall-clock matrix and assemble a snapshot document."""
-    scenarios = {}
-    total = 0.0
-    for name in names or scenario_names():
-        entry = run_wallclock_scenario(name, repeats=repeats)
-        scenarios[name] = entry
-        total += float(entry["wall_seconds"])
-    return {
-        "version": WALLCLOCK_VERSION,
-        "tolerances": {"wallclock_rtol": rtol},
-        "total_wall_seconds": round(total, 4),
-        "scenarios": scenarios,
-    }
+class _Traced:
+    """A platform whose sims record their stage spans into ``tracer``."""
+
+    def __init__(self, platform, tracer):
+        self._platform = platform
+        self._tracer = tracer
+
+    def __getattr__(self, name):
+        return getattr(self._platform, name)
+
+    def build_sim(self, engine):
+        return self._platform.build_sim(engine, tracer=self._tracer)
 
 
-def load_wallclock(path) -> typing.Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    version = snapshot.get("version")
-    if version != WALLCLOCK_VERSION:
-        raise ValueError(f"unsupported wall-clock baseline version "
-                         f"{version!r} in {path}")
-    return snapshot
+def trace() -> typing.Dict[str, object]:
+    """The record's trace entry: every stage span of :data:`TRACED`."""
+    from repro.sim import Tracer
+    run = RUNS_BY_KEY[TRACED]
+    tracer = Tracer()
+    _run(run, _Traced(run.build(), tracer))
+    spans = [[span.lane, span.label, span.start.hex(), span.end.hex()]
+             for span in tracer.spans]
+    return {"run": TRACED, "spans": len(spans),
+            "digest": _sha(json.dumps(spans))}
 
 
-def check_wallclock(baseline: typing.Mapping[str, object],
-                    current: typing.Mapping[str, object],
-                    rtol: typing.Optional[float] = None
-                    ) -> typing.List[str]:
-    """Loose wall-clock comparison; returns failure messages.
-
-    Only slowdowns beyond ``rtol`` fail (faster runs pass), and the
-    default tolerance is wide — see :data:`DEFAULT_WALLCLOCK_RTOL`.
-    """
-    if rtol is None:
-        tolerances = baseline.get("tolerances") or {}
-        rtol = float(tolerances.get("wallclock_rtol",
-                                    DEFAULT_WALLCLOCK_RTOL))
-    failures = []
-    base_scenarios = baseline.get("scenarios") or {}
-    cur_scenarios = current.get("scenarios") or {}
-    for name in sorted(base_scenarios):
-        cur = cur_scenarios.get(name)
-        if cur is None:
-            failures.append(f"{name}: scenario missing from current run")
-            continue
-        base_rps = float(base_scenarios[name]
-                         .get("routines_per_second", 0.0))
-        cur_rps = float(cur.get("routines_per_second", 0.0))
-        floor = base_rps * (1.0 - rtol)
-        if cur_rps < floor:
-            failures.append(
-                f"{name}: routines/s regressed {base_rps:.1f} -> "
-                f"{cur_rps:.1f} ({100.0 * (cur_rps / base_rps - 1.0):+.1f}%"
-                f", tolerance -{100.0 * rtol:.0f}%)")
-    return failures
-
-
-def run_latency_scenario(name: str) -> typing.Dict[str, object]:
-    """One scenario's modelled inference-latency distribution.
-
-    Folds the deterministic sim-time per-request latencies
-    (:attr:`repro.platforms.throughput.ThroughputResult
-    .inference_latencies`) through the HDR bucketing, so the committed
-    entry carries exact bucket counts alongside rounded microsecond
-    percentiles — the queueing-vs-turnaround story FA3C's Figure 5
-    argument rests on, per backend.
-    """
-    try:
-        scenario = _BY_NAME[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; known: "
-            f"{', '.join(scenario_names())}") from None
-    from repro.obs.registry import hdr_bucket_index, hdr_percentile
-    from repro.platforms import ThroughputSetup
-    setup = ThroughputSetup(scenario.build(), scenario.build_host())
-    result = setup.measure(scenario.num_agents, t_max=scenario.t_max,
-                           routines_per_agent=scenario.routines)
-    latencies = result.inference_latencies
-    buckets: typing.Dict[int, int] = {}
-    for value in latencies:
-        index = hdr_bucket_index(value)
-        buckets[index] = buckets.get(index, 0) + 1
-
-    def us(q: float) -> float:
-        return round(hdr_percentile(buckets, q) * 1e6, 3)
-
-    return {
-        "requests": len(latencies),
-        "p50_us": us(50.0) if latencies else None,
-        "p90_us": us(90.0) if latencies else None,
-        "p99_us": us(99.0) if latencies else None,
-        "p999_us": us(99.9) if latencies else None,
-        "max_us": (round(max(latencies) * 1e6, 3)
-                   if latencies else None),
-        "hdr": {str(index): buckets[index]
-                for index in sorted(buckets)},
-    }
-
-
-def collect_latency(names: typing.Optional[
-                        typing.Sequence[str]] = None,
-                    rtol: float = DEFAULT_LATENCY_RTOL
-                    ) -> typing.Dict[str, object]:
-    """Run the latency matrix and assemble a snapshot document."""
-    scenarios = {}
-    for name in names or scenario_names():
-        scenarios[name] = run_latency_scenario(name)
-    return {
-        "version": LATENCY_VERSION,
-        "tolerances": {"latency_rtol": rtol},
-        "scenarios": scenarios,
-    }
-
-
-def load_latency(path) -> typing.Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    version = snapshot.get("version")
-    if version != LATENCY_VERSION:
-        raise ValueError(f"unsupported latency baseline version "
-                         f"{version!r} in {path}")
-    return snapshot
-
-
-def check_latency(baseline: typing.Mapping[str, object],
-                  current: typing.Mapping[str, object],
-                  rtol: typing.Optional[float] = None
-                  ) -> typing.List[str]:
-    """Informational p99 comparison; returns failure messages.
-
-    Fails on tail-latency growth beyond ``rtol`` (lower latency
-    passes), on a request-count mismatch (the workload itself changed),
-    and on missing scenarios.
-    """
-    if rtol is None:
-        tolerances = baseline.get("tolerances") or {}
-        rtol = float(tolerances.get("latency_rtol",
-                                    DEFAULT_LATENCY_RTOL))
-    failures = []
-    base_scenarios = baseline.get("scenarios") or {}
-    cur_scenarios = current.get("scenarios") or {}
-    for name in sorted(base_scenarios):
-        base = base_scenarios[name]
-        cur = cur_scenarios.get(name)
-        if cur is None:
-            failures.append(f"{name}: scenario missing from current run")
-            continue
-        base_requests = int(base.get("requests", 0) or 0)
-        cur_requests = int(cur.get("requests", 0) or 0)
-        if base_requests != cur_requests:
-            failures.append(
-                f"{name}: request count changed {base_requests} -> "
-                f"{cur_requests} (workload drift)")
-        base_p99 = base.get("p99_us")
-        cur_p99 = cur.get("p99_us")
-        if base_p99 is None or cur_p99 is None:
-            continue
-        ceiling = float(base_p99) * (1.0 + rtol)
-        if float(cur_p99) > ceiling:
-            failures.append(
-                f"{name}: p99 latency grew {float(base_p99):.1f}us -> "
-                f"{float(cur_p99):.1f}us "
-                f"({100.0 * (float(cur_p99) / float(base_p99) - 1.0):+.1f}%"
-                f", tolerance +{100.0 * rtol:.0f}%)")
-    return failures
-
-
-def collect_snapshot(names: typing.Optional[typing.Sequence[str]] = None,
-                     ips_rtol: float = DEFAULT_IPS_RTOL,
-                     share_atol: float = DEFAULT_SHARE_ATOL,
-                     ) -> typing.Dict[str, object]:
-    """Run scenarios and assemble a snapshot document (no reports)."""
-    scenarios = {}
-    for name in names or scenario_names():
-        entry, _report = run_scenario(name)
-        scenarios[name] = entry
-    return {
-        "version": SNAPSHOT_VERSION,
-        "tolerances": {"ips_rtol": ips_rtol, "share_atol": share_atol},
-        "scenarios": scenarios,
-    }
-
-
-def write_snapshot(snapshot: typing.Mapping[str, object], path) -> None:
+def write(record: typing.Mapping[str, object], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def load_snapshot(path) -> typing.Dict[str, object]:
+def load(path) -> typing.Dict[str, object]:
     with open(path, "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    version = snapshot.get("version")
-    if version != SNAPSHOT_VERSION:
+        record = json.load(handle)
+    version = record.get("version")
+    if version != VERSION:
         raise ValueError(f"unsupported baseline version {version!r} "
                          f"in {path}")
-    return snapshot
+    if not isinstance(record.get("runs"), dict):
+        raise ValueError(f"no runs in baseline {path}")
+    return record
 
 
-def check_snapshot(baseline: typing.Mapping[str, object],
-                   current: typing.Mapping[str, object],
-                   ips_rtol: typing.Optional[float] = None,
-                   share_atol: typing.Optional[float] = None
-                   ) -> typing.List[str]:
-    """Compare two snapshots; returns failure messages (empty = pass).
+def _flat(entry: typing.Mapping[str, object],
+          prefix: str = "") -> typing.Dict[str, object]:
+    flat: typing.Dict[str, object] = {}
+    for field, value in entry.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{field}."))
+        else:
+            flat[prefix + field] = value
+    return flat
 
-    IPS fails only on regression beyond ``ips_rtol`` (a faster run passes
-    — refresh the baseline to lock it in); bucket shares fail on drift in
-    either direction, because a share shift means the cycle attribution
-    itself changed.
+
+def _show(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, str) and value.lstrip("-").startswith("0x"):
+        return f"{value} ({float.fromhex(value)!r})"
+    return str(value)
+
+
+def _diff(name: str, want: typing.Mapping[str, object],
+          got: typing.Mapping[str, object]) -> typing.List[str]:
+    want, got = _flat(want), _flat(got)
+    return [f"{name}: {field} {_show(want.get(field))} -> "
+            f"{_show(got.get(field))}"
+            for field in sorted(set(want) | set(got))
+            if want.get(field) != got.get(field)]
+
+
+def check(recorded: typing.Mapping[str, typing.Any],
+          current: typing.Mapping[str, typing.Any]) -> typing.List[str]:
+    """Every difference between ``current`` and ``recorded`` (empty =
+    pass), one message per run and field.
+
+    Each run of ``current`` must match its recorded entry field for
+    field, exactly.  A current run the record lacks fails, and so does a
+    recorded run that :data:`RUNS` no longer defines.  The trace entry
+    is compared when ``current`` has one.
     """
-    tolerances = baseline.get("tolerances") or {}
-    if ips_rtol is None:
-        ips_rtol = float(tolerances.get("ips_rtol", DEFAULT_IPS_RTOL))
-    if share_atol is None:
-        share_atol = float(tolerances.get("share_atol",
-                                          DEFAULT_SHARE_ATOL))
-    failures = []
-    base_scenarios = baseline.get("scenarios") or {}
-    cur_scenarios = current.get("scenarios") or {}
-    for name in sorted(base_scenarios):
-        base = base_scenarios[name]
-        cur = cur_scenarios.get(name)
-        if cur is None:
-            failures.append(f"{name}: scenario missing from current run")
-            continue
-        base_ips = float(base.get("ips", 0.0))
-        cur_ips = float(cur.get("ips", 0.0))
-        floor = base_ips * (1.0 - ips_rtol)
-        if cur_ips < floor:
-            failures.append(
-                f"{name}: ips regressed {base_ips:.1f} -> {cur_ips:.1f} "
-                f"({100.0 * (cur_ips / base_ips - 1.0):+.1f}%, "
-                f"tolerance -{100.0 * ips_rtol:.0f}%)")
-        base_buckets = base.get("buckets") or {}
-        cur_buckets = cur.get("buckets") or {}
-        for bucket in sorted(set(base_buckets) | set(cur_buckets)):
-            base_share = float(base_buckets.get(bucket, 0.0))
-            cur_share = float(cur_buckets.get(bucket, 0.0))
-            drift = cur_share - base_share
-            if abs(drift) > share_atol:
-                failures.append(
-                    f"{name}: bucket {bucket!r} share moved "
-                    f"{base_share:.4f} -> {cur_share:.4f} "
-                    f"({100.0 * drift:+.1f} points, tolerance "
-                    f"±{100.0 * share_atol:.0f})")
+    runs = recorded["runs"]
+    failures = [f"{key}: in baseline but no longer defined"
+                for key in sorted(set(runs) - set(RUNS_BY_KEY))]
+    for key, entry in sorted(current["runs"].items()):
+        if key not in runs:
+            failures.append(f"{key}: not in baseline")
+        else:
+            failures.extend(_diff(key, runs[key], entry))
+    if "trace" in current:
+        failures.extend(_diff("trace", recorded.get("trace") or {},
+                              current["trace"]))
     return failures

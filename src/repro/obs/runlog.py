@@ -583,7 +583,7 @@ def _scenario_diff(man_a: typing.Mapping[str, object],
     for name in sorted(set(scen_a) | set(scen_b)):
         entry_a = scen_a.get(name) or {}
         entry_b = scen_b.get(name) or {}
-        fields = ["ips", "routines_per_second", "wall_seconds"]
+        fields = ["ips"]
         buckets = sorted(set(entry_a.get("buckets") or {})
                          | set(entry_b.get("buckets") or {}))
         fields.extend(f"bucket:{bucket}" for bucket in buckets)

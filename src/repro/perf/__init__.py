@@ -7,11 +7,11 @@ routine even though they are pure functions of (topology, batch,
 direction, platform config); :mod:`repro.perf.stageplan` computes them
 once and lets :class:`repro.fpga.platform.FPGASim` replay them.
 
-``tests/test_sim_golden.py`` pins the replayed IPS, latencies, cycle
-attribution and DRAM traffic at zero tolerance against data recorded
-from the per-task derivation the plans replaced, and the
-``repro bench --check`` gate against ``BENCH_fa3c.json`` covers every
-bench scenario.
+The modelled record ``BENCH_fa3c.json`` pins the replayed IPS,
+latencies, cycle attribution and DRAM traffic of every recorded run at
+zero tolerance, as first recorded from the per-task derivation the plans
+replaced; ``repro bench --check`` and ``tests/test_sim_golden.py`` both
+check it (:mod:`repro.obs.prof.baseline`).
 
 ``stageplan`` imports the FPGA timing model, which imports platform
 modules that themselves import :mod:`repro.perf.hotpath` — so its names

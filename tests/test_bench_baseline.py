@@ -1,11 +1,12 @@
-"""The perf-baseline subsystem: snapshots, tolerance checks, CLI gate.
+"""The modelled record: schema, exact check, the ``repro bench`` gate.
 
-``repro bench --baseline`` / ``--check`` back the CI ``perf-gate`` job;
-the acceptance criterion is that an injected 20 % IPS regression makes
-``--check`` exit non-zero.
+``repro bench --baseline`` / ``--check`` back the CI ``perf-gate`` job.
+The check is exact, so one recorded field one ulp off, in either
+direction, makes ``--check`` exit non-zero naming the run and field.
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -15,27 +16,31 @@ from repro.obs.prof import baseline as bench
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMMITTED = REPO_ROOT / "BENCH_fa3c.json"
+KEY = "fa3c-n8/8"
 
 
-def _snapshot(scenarios, ips_rtol=0.05, share_atol=0.02):
-    return {
-        "version": bench.SNAPSHOT_VERSION,
-        "tolerances": {"ips_rtol": ips_rtol, "share_atol": share_atol},
-        "scenarios": scenarios,
-    }
+def _record(runs):
+    return {"version": bench.VERSION, "runs": runs}
 
 
 def _entry(ips, **buckets):
-    return {"ips": ips, "buckets": buckets}
+    return {"ips": float(ips).hex(),
+            "buckets": {bucket: float(share).hex()
+                        for bucket, share in buckets.items()}}
+
+
+def _ulp(value: str, direction: float) -> str:
+    """``value`` (``float.hex``) moved one ulp towards ``direction``."""
+    return math.nextafter(float.fromhex(value), direction).hex()
 
 
 class TestSnapshotIO:
     def test_round_trip(self, tmp_path):
-        doc = _snapshot({"s": _entry(100.0, pe_compute=0.6,
-                                     dram_wait=0.4)})
+        doc = _record({KEY: _entry(100.0, pe_compute=0.6,
+                                   dram_wait=0.4)})
         path = tmp_path / "b.json"
-        bench.write_snapshot(doc, path)
-        assert bench.load_snapshot(path) == doc
+        bench.write(doc, path)
+        assert bench.load(path) == doc
         # Committed-diff friendliness: stable key order, one trailing
         # newline.
         text = path.read_text()
@@ -44,244 +49,203 @@ class TestSnapshotIO:
 
     def test_version_mismatch_raises(self, tmp_path):
         path = tmp_path / "b.json"
-        path.write_text('{"version": 99, "scenarios": {}}')
+        path.write_text('{"version": 1, "scenarios": {}}')
         with pytest.raises(ValueError, match="version"):
-            bench.load_snapshot(path)
+            bench.load(path)
+        path.write_text('{"version": 2}')
+        with pytest.raises(ValueError, match="no runs"):
+            bench.load(path)
 
     def test_unknown_scenario_raises_with_known_names(self):
         with pytest.raises(ValueError, match="fa3c-n8"):
-            bench.run_scenario("no-such-scenario")
+            bench.select(["no-such-scenario"])
 
     def test_committed_baseline_is_loadable_and_complete(self):
-        doc = bench.load_snapshot(COMMITTED)
-        assert set(doc["scenarios"]) == set(bench.scenario_names())
-        for name, entry in doc["scenarios"].items():
-            assert entry["ips"] > 0, name
-            shares = entry["buckets"]
-            assert sum(shares.values()) == pytest.approx(1.0, abs=0.01)
+        doc = bench.load(COMMITTED)
+        assert set(doc["runs"]) == set(bench.RUNS_BY_KEY)
+        for key, entry in doc["runs"].items():
+            assert float.fromhex(entry["ips"]) > 0, key
+            shares = [float.fromhex(share)
+                      for share in entry["buckets"].values()]
+            assert sum(shares) == pytest.approx(1.0, abs=1e-9), key
+        assert doc["trace"]["run"] == bench.TRACED
 
 
 class TestCheckSnapshot:
-    BASE = _snapshot({"s": _entry(1000.0, pe_compute=0.60,
-                                  dram_wait=0.40)})
+    BASE = _record({KEY: _entry(1000.0, pe_compute=0.60,
+                                dram_wait=0.40)})
 
     def test_identical_passes(self):
-        assert bench.check_snapshot(self.BASE, self.BASE) == []
-
-    def test_small_drift_within_tolerance_passes(self):
-        cur = _snapshot({"s": _entry(970.0, pe_compute=0.61,
-                                     dram_wait=0.39)})
-        assert bench.check_snapshot(self.BASE, cur) == []
+        assert bench.check(self.BASE, self.BASE) == []
 
     def test_ips_regression_fails(self):
-        cur = _snapshot({"s": _entry(800.0, pe_compute=0.60,
-                                     dram_wait=0.40)})
-        failures = bench.check_snapshot(self.BASE, cur)
-        assert len(failures) == 1 and "ips regressed" in failures[0]
-
-    def test_ips_improvement_passes(self):
-        cur = _snapshot({"s": _entry(1500.0, pe_compute=0.60,
-                                     dram_wait=0.40)})
-        assert bench.check_snapshot(self.BASE, cur) == []
+        cur = _record({KEY: _entry(1000.0, pe_compute=0.60,
+                                   dram_wait=0.40)})
+        cur["runs"][KEY]["ips"] = _ulp(cur["runs"][KEY]["ips"], 0.0)
+        failures = bench.check(self.BASE, cur)
+        assert len(failures) == 1 and failures[0].startswith(
+            f"{KEY}: ips 0x1.f400000000000p+9 (1000.0) -> ")
 
     @pytest.mark.parametrize("pe,dram", [(0.65, 0.35), (0.55, 0.45)])
     def test_share_drift_fails_in_either_direction(self, pe, dram):
-        cur = _snapshot({"s": _entry(1000.0, pe_compute=pe,
-                                     dram_wait=dram)})
-        failures = bench.check_snapshot(self.BASE, cur)
-        assert failures and all("share moved" in f for f in failures)
+        cur = _record({KEY: _entry(1000.0, pe_compute=pe,
+                                   dram_wait=dram)})
+        failures = bench.check(self.BASE, cur)
+        assert len(failures) == 2 and all(
+            f.startswith(f"{KEY}: buckets.") for f in failures)
 
     def test_new_bucket_appearing_fails(self):
-        cur = _snapshot({"s": _entry(1000.0, pe_compute=0.57,
-                                     dram_wait=0.40,
-                                     buffer_stall=0.03)})
-        failures = bench.check_snapshot(self.BASE, cur)
-        assert any("buffer_stall" in f for f in failures)
+        cur = _record({KEY: _entry(1000.0, pe_compute=0.60,
+                                   dram_wait=0.40, buffer_stall=0.0)})
+        failures = bench.check(self.BASE, cur)
+        assert failures == [f"{KEY}: buckets.buffer_stall - -> "
+                            "0x0.0p+0 (0.0)"]
 
     def test_missing_scenario_fails(self):
-        cur = _snapshot({})
-        failures = bench.check_snapshot(self.BASE, cur)
-        assert failures == ["s: scenario missing from current run"]
+        cur = _record({"fa3c-n8/1": _entry(10.0, pe_compute=1.0)})
+        assert bench.check(self.BASE, cur) == \
+            ["fa3c-n8/1: not in baseline"]
 
-    def test_tolerances_read_from_baseline_doc(self):
-        base = _snapshot({"s": _entry(1000.0, pe_compute=1.0)},
-                         ips_rtol=0.30)
-        cur = _snapshot({"s": _entry(800.0, pe_compute=1.0)})
-        assert bench.check_snapshot(base, cur) == []
-
-    def test_explicit_tolerance_overrides_baseline_doc(self):
-        base = _snapshot({"s": _entry(1000.0, pe_compute=1.0)},
-                         ips_rtol=0.30)
-        cur = _snapshot({"s": _entry(800.0, pe_compute=1.0)})
-        assert bench.check_snapshot(base, cur, ips_rtol=0.05)
+    def test_recorded_run_no_longer_defined_fails(self):
+        base = _record({KEY: self.BASE["runs"][KEY],
+                        "fa3c-n8/99": _entry(1.0, pe_compute=1.0)})
+        assert bench.check(base, self.BASE) == \
+            ["fa3c-n8/99: in baseline but no longer defined"]
 
 
 class TestBenchCLI:
     """End-to-end through ``repro bench`` (one real scenario per run)."""
 
+    def _check(self, tmp_path, capsys, mutate, scenarios=("fa3c-n8",)):
+        """``--check`` of ``scenarios`` (all if empty) against the
+        committed record after ``mutate``; returns (exit code, output)."""
+        doc = bench.load(COMMITTED)
+        mutate(doc)
+        path = tmp_path / "BENCH_mutated.json"
+        bench.write(doc, path)
+        subset = ["--scenarios", *scenarios] if scenarios else []
+        rc = main(["bench", "--check", "--no-runlog", "--file", str(path),
+                   *subset])
+        return rc, capsys.readouterr().out
+
     def test_check_passes_against_committed_baseline(self, capsys):
-        rc = main(["bench", "--check", "--file", str(COMMITTED),
-                   "--scenarios", "fa3c-n8"])
+        rc = main(["bench", "--check", "--no-runlog", "--file",
+                   str(COMMITTED), "--scenarios", "fa3c-n8"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "perf gate OK" in out
+        assert "perf gate OK: 3 runs match" in out
+        assert f"{KEY}: ips=" in out and " p99=" in out
 
     def test_injected_ips_regression_trips_the_gate(self, tmp_path,
                                                     capsys):
-        # Inflate the baseline so the (unchanged) current run looks
-        # 20 % slower than expected.
-        doc = bench.load_snapshot(COMMITTED)
-        doc["scenarios"]["fa3c-n8"]["ips"] = round(
-            doc["scenarios"]["fa3c-n8"]["ips"] * 1.25, 3)
-        inflated = tmp_path / "BENCH_inflated.json"
-        bench.write_snapshot(doc, inflated)
-        rc = main(["bench", "--check", "--file", str(inflated),
-                   "--scenarios", "fa3c-n8"])
-        out = capsys.readouterr().out
+        # The record one ulp higher: the unchanged run reads as slower.
+        def mutate(doc):
+            entry = doc["runs"][KEY]
+            entry["ips"] = _ulp(entry["ips"], math.inf)
+        rc, out = self._check(tmp_path, capsys, mutate)
         assert rc == 1, out
-        assert "PERF GATE FAILED" in out and "ips regressed" in out
+        assert "PERF GATE FAILED (1 finding(s))" in out
+        assert f"  - {KEY}: ips " in out
+
+    def test_ips_one_ulp_higher_trips_the_gate(self, tmp_path, capsys):
+        # The record one ulp lower: a bug that raises IPS fails too.
+        def mutate(doc):
+            entry = doc["runs"][KEY]
+            entry["ips"] = _ulp(entry["ips"], 0.0)
+        rc, out = self._check(tmp_path, capsys, mutate)
+        assert rc == 1, out
+        assert "PERF GATE FAILED (1 finding(s))" in out
+        assert f"  - {KEY}: ips " in out
 
     def test_share_drift_trips_the_gate(self, tmp_path, capsys):
-        doc = bench.load_snapshot(COMMITTED)
-        buckets = doc["scenarios"]["fa3c-n8"]["buckets"]
-        buckets["pe_compute"] = round(buckets["pe_compute"] + 0.10, 4)
-        drifted = tmp_path / "BENCH_drifted.json"
-        bench.write_snapshot(doc, drifted)
-        rc = main(["bench", "--check", "--file", str(drifted),
-                   "--scenarios", "fa3c-n8"])
-        out = capsys.readouterr().out
+        def mutate(doc):
+            buckets = doc["runs"][KEY]["buckets"]
+            buckets["pe_compute"] = _ulp(buckets["pe_compute"], math.inf)
+        rc, out = self._check(tmp_path, capsys, mutate)
         assert rc == 1, out
-        assert "share moved" in out
+        assert f"  - {KEY}: buckets.pe_compute " in out
+
+    def test_latency_digest_change_trips_the_gate(self, tmp_path, capsys):
+        def mutate(doc):
+            entry = doc["runs"]["fa3c-n8/3"]
+            entry["latencies"] = "0" + entry["latencies"][1:]
+        rc, out = self._check(tmp_path, capsys, mutate)
+        assert rc == 1, out
+        assert "  - fa3c-n8/3: latencies " in out
 
     def test_requested_scenario_missing_from_baseline_fails(
             self, tmp_path, capsys):
-        doc = bench.load_snapshot(COMMITTED)
-        del doc["scenarios"]["fa3c-n8"]
-        partial = tmp_path / "BENCH_partial.json"
-        bench.write_snapshot(doc, partial)
-        rc = main(["bench", "--check", "--file", str(partial),
-                   "--scenarios", "fa3c-n8"])
+        rc, out = self._check(tmp_path, capsys,
+                              lambda doc: doc["runs"].pop(KEY))
         assert rc == 1
-        assert "not in baseline" in capsys.readouterr().out
+        assert f"{KEY}: not in baseline" in out
+
+    def test_full_check_fails_on_run_missing_from_baseline(
+            self, tmp_path, capsys):
+        rc, out = self._check(tmp_path, capsys,
+                              lambda doc: doc["runs"].pop("alt2/6"),
+                              scenarios=())
+        assert rc == 1
+        assert "PERF GATE FAILED (1 finding(s))" in out
+        assert "alt2/6: not in baseline" in out
+
+    def test_recorded_run_no_longer_defined_fails(self, tmp_path,
+                                                  capsys):
+        def mutate(doc):
+            doc["runs"]["fa3c-n8/99"] = doc["runs"][KEY]
+        rc, out = self._check(tmp_path, capsys, mutate)
+        assert rc == 1
+        assert "fa3c-n8/99: in baseline but no longer defined" in out
 
     def test_missing_baseline_file_is_a_usage_error(self, tmp_path,
                                                     capsys):
-        rc = main(["bench", "--check", "--file",
+        rc = main(["bench", "--check", "--no-runlog", "--file",
                    str(tmp_path / "nope.json")])
         assert rc == 2
         assert "cannot load baseline" in capsys.readouterr().out
 
+    def test_old_version_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "v1.json"
+        path.write_text('{"version": 1, "scenarios": {}}')
+        rc = main(["bench", "--check", "--no-runlog", "--file", str(path),
+                   "--scenarios", "fa3c-n8"])
+        assert rc == 2
+        assert "unsupported baseline version 1" in capsys.readouterr().out
+
     def test_baseline_writes_report_dir_artifacts(self, tmp_path):
         out_file = tmp_path / "b.json"
         report_dir = tmp_path / "report"
-        rc = main(["bench", "--baseline", "--file", str(out_file),
-                   "--scenarios", "fa3c-n8",
+        rc = main(["bench", "--baseline", "--no-runlog",
+                   "--file", str(out_file), "--scenarios", "fa3c-n8",
                    "--report-dir", str(report_dir)])
         assert rc == 0
-        doc = bench.load_snapshot(out_file)
-        assert set(doc["scenarios"]) == {"fa3c-n8"}
-        assert (report_dir / "fa3c-n8.folded").stat().st_size > 0
+        doc = bench.load(out_file)
+        committed = bench.load(COMMITTED)
+        assert doc["runs"] == {key: committed["runs"][key] for key in
+                               ("fa3c-n8/1", "fa3c-n8/3", KEY)}
+        assert doc["trace"] == committed["trace"]
+        assert (report_dir / "fa3c-n8_8.folded").stat().st_size > 0
         assert "cycle attribution" in \
-            (report_dir / "fa3c-n8.txt").read_text()
+            (report_dir / "fa3c-n8_8.txt").read_text()
+
+    def test_subset_baseline_keeps_other_runs(self, tmp_path):
+        committed = bench.load(COMMITTED)
+        doc = bench.load(COMMITTED)
+        doc["runs"][KEY]["ips"] = "0x1.0p+0"
+        doc["runs"]["alt2/6"]["ips"] = "0x1.0p+0"
+        path = tmp_path / "b.json"
+        bench.write(doc, path)
+        rc = main(["bench", "--baseline", "--no-runlog",
+                   "--file", str(path), "--scenarios", "fa3c-n8"])
+        assert rc == 0
+        after = bench.load(path)
+        assert after["runs"][KEY] == committed["runs"][KEY]
+        assert after["runs"]["alt2/6"]["ips"] == "0x1.0p+0"
+        assert set(after["runs"]) == set(committed["runs"])
+        assert after["trace"] == committed["trace"]
 
 
 class TestScenarioDeterminism:
     def test_back_to_back_runs_are_bit_identical(self):
-        first, _ = bench.run_scenario("fa3c-n8")
-        second, _ = bench.run_scenario("fa3c-n8")
-        assert first == second
-
-
-WALLCLOCK = REPO_ROOT / "BENCH_wallclock.json"
-
-
-def _wallclock(scenarios, rtol=0.5):
-    return {
-        "version": bench.WALLCLOCK_VERSION,
-        "tolerances": {"wallclock_rtol": rtol},
-        "total_wall_seconds": sum(float(e["wall_seconds"])
-                                  for e in scenarios.values()),
-        "scenarios": scenarios,
-    }
-
-
-def _wc_entry(rps):
-    return {"wall_seconds": round(1.0 / rps, 4),
-            "routines_per_second": rps}
-
-
-class TestWallclock:
-    def test_committed_wallclock_baseline_is_loadable(self):
-        doc = bench.load_wallclock(WALLCLOCK)
-        assert set(doc["scenarios"]) == set(bench.scenario_names())
-        for name, entry in doc["scenarios"].items():
-            assert entry["routines_per_second"] > 0, name
-            assert entry["wall_seconds"] > 0, name
-
-    def test_version_mismatch_raises(self, tmp_path):
-        path = tmp_path / "w.json"
-        path.write_text('{"version": 99, "scenarios": {}}')
-        with pytest.raises(ValueError, match="version"):
-            bench.load_wallclock(path)
-
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(ValueError, match="fa3c-n8"):
-            bench.run_wallclock_scenario("no-such-scenario")
-
-    def test_identical_passes(self):
-        doc = _wallclock({"s": _wc_entry(1000.0)})
-        assert bench.check_wallclock(doc, doc) == []
-
-    def test_slowdown_beyond_tolerance_fails(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({"s": _wc_entry(400.0)})
-        failures = bench.check_wallclock(base, cur)
-        assert failures and "regressed" in failures[0]
-
-    def test_speedup_passes(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({"s": _wc_entry(5000.0)})
-        assert bench.check_wallclock(base, cur) == []
-
-    def test_slowdown_within_loose_tolerance_passes(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({"s": _wc_entry(700.0)})
-        assert bench.check_wallclock(base, cur) == []
-
-    def test_missing_scenario_fails(self):
-        base = _wallclock({"s": _wc_entry(1000.0)})
-        cur = _wallclock({})
-        assert "missing" in bench.check_wallclock(base, cur)[0]
-
-    def test_cli_wallclock_baseline_and_check(self, tmp_path, capsys):
-        out = tmp_path / "w.json"
-        rc = main(["bench", "--wallclock", "--baseline",
-                   "--file", str(out), "--repeats", "1",
-                   "--scenarios", "ga3c-tf-n8"])
-        assert rc == 0
-        doc = bench.load_wallclock(out)
-        assert set(doc["scenarios"]) == {"ga3c-tf-n8"}
-        rc = main(["bench", "--wallclock", "--check",
-                   "--file", str(out), "--repeats", "1"])
-        assert rc == 0
-        assert "wall-clock smoke OK" in capsys.readouterr().out
-
-    def test_cli_wallclock_check_subset_and_missing(self, tmp_path,
-                                                    capsys):
-        out = tmp_path / "w.json"
-        main(["bench", "--wallclock", "--baseline", "--file", str(out),
-              "--repeats", "1", "--scenarios", "ga3c-tf-n8"])
-        capsys.readouterr()
-        rc = main(["bench", "--wallclock", "--check", "--file",
-                   str(out), "--repeats", "1",
-                   "--scenarios", "ga3c-tf-n8", "gpu-cudnn-n8"])
-        assert rc == 1
-        assert "not in baseline" in capsys.readouterr().out
-
-    def test_cli_wallclock_missing_baseline_is_usage_error(
-            self, tmp_path, capsys):
-        rc = main(["bench", "--wallclock", "--check",
-                   "--file", str(tmp_path / "nope.json")])
-        assert rc == 2
-        assert "cannot load wall-clock baseline" in \
-            capsys.readouterr().out
+        run = bench.RUNS_BY_KEY[KEY]
+        assert bench.measure(run).entry == bench.measure(run).entry

@@ -344,71 +344,3 @@ class TestLatencyReport:
         text = report.obs_report(rows, latency=True)
         assert "Latency by segment" in text
         assert "End-to-end routine latency" in text
-
-
-class TestBenchLatency:
-    def _scenario(self):
-        from repro.obs.prof import baseline
-        return baseline, baseline.scenario_names()[0]
-
-    def test_run_latency_scenario_is_deterministic(self):
-        baseline, name = self._scenario()
-        first = baseline.run_latency_scenario(name)
-        second = baseline.run_latency_scenario(name)
-        assert first == second
-        assert first["requests"] > 0
-        assert first["p99_us"] >= first["p50_us"] > 0
-        assert sum(first["hdr"].values()) == first["requests"]
-
-    def test_check_latency_passes_and_flags_growth(self):
-        baseline, name = self._scenario()
-        current = baseline.collect_latency([name])
-        assert baseline.check_latency(current, current) == []
-        slower = {
-            "version": baseline.LATENCY_VERSION,
-            "tolerances": dict(current["tolerances"]),
-            "scenarios": {name: dict(current["scenarios"][name])},
-        }
-        entry = slower["scenarios"][name]
-        entry["p99_us"] = entry["p99_us"] * 2.0
-        # Faster than baseline passes; slower than baseline fails.
-        assert baseline.check_latency(slower, current) == []
-        failures = baseline.check_latency(current, slower)
-        assert failures and "p99" in failures[0]
-
-    def test_check_latency_flags_workload_drift_and_missing(self):
-        baseline, name = self._scenario()
-        current = baseline.collect_latency([name])
-        drifted = {
-            "version": baseline.LATENCY_VERSION,
-            "tolerances": dict(current["tolerances"]),
-            "scenarios": {name: dict(current["scenarios"][name])},
-        }
-        drifted["scenarios"][name]["requests"] += 1
-        assert any("request count" in failure for failure in
-                   baseline.check_latency(current, drifted))
-        failures = baseline.check_latency(
-            current, {"version": baseline.LATENCY_VERSION,
-                      "scenarios": {}})
-        assert any("missing" in failure for failure in failures)
-
-    def test_load_latency_rejects_wrong_version(self, tmp_path):
-        from repro.obs.prof import baseline
-        path = tmp_path / "BENCH_latency.json"
-        path.write_text('{"version": 99, "scenarios": {}}',
-                        encoding="utf-8")
-        with pytest.raises(ValueError):
-            baseline.load_latency(str(path))
-
-    def test_committed_baseline_matches_current_model(self):
-        """The committed BENCH_latency.json gates against the live
-        model: re-collecting its scenarios must pass its own check."""
-        import os
-
-        from repro.obs.prof import baseline
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            baseline.DEFAULT_LATENCY_BASELINE)
-        base = baseline.load_latency(path)
-        names = sorted(base["scenarios"])
-        current = baseline.collect_latency(names)
-        assert baseline.check_latency(base, current) == []

@@ -27,6 +27,7 @@ FIELDS = ("ips", "sim_seconds", "utilisation", "routines",
 # host model (different step_time through the same chain).
 SCENARIOS = ("gpu-cudnn-n8", "a3c-tf-cpu-n8", "ga3c-tf-n8",
              "ga3c-tf-batched-n8")
+BY_NAME = {scenario.name: scenario for scenario in baseline.SCENARIOS}
 
 
 class _GeneratorAgents:
@@ -54,7 +55,7 @@ class _NoAgentChain:
 
 
 def _measure(name, num_agents, generator=False):
-    scenario = baseline._BY_NAME[name]
+    scenario = BY_NAME[name]
     platform = scenario.build()
     if generator:
         platform = _GeneratorAgents(platform)
@@ -92,7 +93,7 @@ def test_chain_matches_generator_with_telemetry(name):
 def test_fpga_sims_keep_generator_path():
     """FPGASim has no agent_chain, so its agents are generators either
     way and the wrapper changes nothing."""
-    platform = baseline._BY_NAME["fa3c-n8"].build()
+    platform = BY_NAME["fa3c-n8"].build()
     assert not hasattr(platform.build_sim(Engine()), "agent_chain")
     _assert_same(_measure("fa3c-n8", 4),
                  _measure("fa3c-n8", 4, generator=True))
