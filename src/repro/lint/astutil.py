@@ -3,7 +3,9 @@
 One :class:`FileContext` is built per linted file and handed to every
 rule.  It provides:
 
-* parent links and enclosing-function lookup,
+* a node index built in the file's one traversal: parent links,
+  enclosing functions, subtree queries by node type, per-iteration loop
+  flags and the class table (see :class:`FileContext`),
 * the module's dotted name derived from its path,
 * import tracking for the observability runtime (``repro.obs``) and for
   ``numpy``/``random``/``time``/``datetime`` aliases,
@@ -24,6 +26,7 @@ rule.  It provides:
 from __future__ import annotations
 
 import ast
+import bisect
 import typing
 
 from repro.lint.findings import Finding
@@ -32,6 +35,37 @@ FunctionNode = typing.Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Decorator terminal name that marks a hot-path function.
 HOT_PATH_DECORATOR = "hot_path"
+
+_FUNCTION_TYPES = frozenset({ast.FunctionDef, ast.AsyncFunctionDef})
+_SCOPE_TYPES = _FUNCTION_TYPES | {ast.ClassDef}
+COMPREHENSIONS = (ast.ListComp, ast.DictComp, ast.SetComp,
+                  ast.GeneratorExp)
+_LOOP_TYPES = frozenset((ast.For, ast.AsyncFor, ast.While)
+                        + COMPREHENSIONS)
+#: Childless nodes CPython shares across the whole tree (one ``Load``,
+#: one ``Add``, ...): with no single parent or position, they stay out
+#: of the index.
+_SHARED_LEAVES = (ast.expr_context, ast.operator, ast.boolop, ast.unaryop,
+                  ast.cmpop)
+
+
+def _per_iteration_clauses(loop: ast.AST) -> typing.List[ast.AST]:
+    """The clauses of a loop node that re-execute per iteration."""
+    if isinstance(loop, (ast.For, ast.AsyncFor)):
+        return [loop.target] + loop.body
+    if isinstance(loop, ast.While):
+        return [loop.test] + loop.body
+    clauses: typing.List[ast.AST] = []
+    for index, gen in enumerate(loop.generators):
+        clauses.append(gen.target)
+        clauses.extend(gen.ifs)
+        if index:
+            clauses.append(gen.iter)
+    if isinstance(loop, ast.DictComp):
+        clauses.extend([loop.key, loop.value])
+    else:
+        clauses.append(loop.elt)
+    return clauses
 
 
 def dotted(node: ast.AST) -> typing.Optional[str]:
@@ -84,14 +118,25 @@ def module_name_for(relpath: str) -> str:
 
 
 class FileContext:
-    """Everything the rules need to know about one parsed file."""
+    """Everything the rules need to know about one parsed file.
+
+    The constructor makes the file's only tree traversal and indexes
+    what it sees, so no rule or extractor walks the tree again:
+
+    * parent links, qualified names and each node's enclosing function;
+    * a preorder node list with subtree bounds — a subtree is a slice,
+      and :meth:`descendants` answers "the nodes of these types under
+      this node" by bisecting per-type position lists;
+    * which nodes re-execute per loop iteration of their enclosing
+      function (:meth:`in_loop`);
+    * the class table (:attr:`classes`).
+    """
 
     def __init__(self, tree: ast.Module, relpath: str,
                  hot_functions: typing.Sequence[str] = ()):
         self.tree = tree
         self.relpath = relpath.replace("\\", "/")
         self.module = module_name_for(relpath)
-        self._parents: typing.Dict[int, ast.AST] = {}
         self._qualnames: typing.Dict[int, str] = {}
         self._functions: typing.List[FunctionNode] = []
         self.obs_aliases: typing.Set[str] = set()
@@ -109,12 +154,16 @@ class FileContext:
     # -- construction ------------------------------------------------------
 
     def _index(self, hot_functions: typing.Sequence[str]) -> None:
-        self._link_parents(self.tree, "")
-        for node in ast.walk(self.tree):
+        self._build_index()
+        for node in self.descendants(self.tree, ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 self._record_import(node)
-            elif isinstance(node, ast.ImportFrom):
+            else:
                 self._record_import_from(node)
+        #: class name -> ClassDef (the last one in ``ast.walk`` order).
+        self.classes: typing.Dict[str, ast.ClassDef] = {
+            cls.name: cls for cls in self.descendants(self.tree,
+                                                      ast.ClassDef)}
         self._gate_cache: typing.Dict[int, typing.Set[int]] = {}
         self._class_gate_cache: typing.Dict[int, typing.Set[str]] = {}
         hot = set(hot_functions)
@@ -123,18 +172,77 @@ class FileContext:
             if self._is_hot(func, hot):
                 self.hot_function_nodes.append(func)
 
-    def _link_parents(self, node: ast.AST, qualname: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            self._parents[id(child)] = node
-            child_qual = qualname
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                child_qual = f"{qualname}.{child.name}" if qualname \
-                    else child.name
-                if not isinstance(child, ast.ClassDef):
-                    self._functions.append(child)
-                self._qualnames[id(child)] = child_qual
-            self._link_parents(child, child_qual)
+    def _build_index(self) -> None:
+        """The one traversal (iterative preorder) behind every lookup.
+
+        Loop flags follow :mod:`repro.lint.hazards`' clause semantics:
+        a node is per-iteration when its parent is, or when it is a
+        per-iteration clause of a loop (``for`` target and body,
+        ``while`` test and body, comprehension element, targets,
+        conditions and every iterable but the first).  A nested
+        function's body starts afresh: it runs when called, so it is
+        not in its parent's loops and is judged on its own.  Its
+        decorators, defaults and annotations run where the ``def``
+        runs, and belong to the enclosing function.
+        """
+        nodes: typing.List[ast.AST] = []
+        pos: typing.Dict[int, int] = {}
+        up: typing.List[int] = []
+        depth: typing.List[int] = []
+        func_of: typing.List[typing.Optional[FunctionNode]] = []
+        loop: typing.List[bool] = []
+        by_type: typing.Dict[type, typing.List[int]] = {}
+        per_iter: typing.Set[int] = set()
+        # (node, parent position, enclosing function, parent is
+        # per-iteration, qualname of the enclosing scope)
+        stack: typing.List[tuple] = [(self.tree, -1, None, False, "")]
+        while stack:
+            node, parent, func, looping, qual = stack.pop()
+            position = len(nodes)
+            nodes.append(node)
+            pos[id(node)] = position
+            up.append(parent)
+            depth.append(depth[parent] + 1 if parent >= 0 else 0)
+            func_of.append(func)
+            kind = type(node)
+            bucket = by_type.get(kind)
+            if bucket is None:
+                by_type[kind] = [position]
+            else:
+                bucket.append(position)
+            if not looping:
+                looping = id(node) in per_iter
+            loop.append(looping)
+            if kind in _LOOP_TYPES:
+                per_iter.update(map(id, _per_iteration_clauses(node)))
+            children = [child for child in ast.iter_child_nodes(node)
+                        if not isinstance(child, _SHARED_LEAVES)]
+            children.reverse()
+            if kind in _SCOPE_TYPES:
+                qual = f"{qual}.{node.name}" if qual else node.name
+                self._qualnames[id(node)] = qual
+            if kind in _FUNCTION_TYPES:
+                self._functions.append(node)
+                body = set(map(id, node.body))
+                stack.extend([(child, position, node, False, qual)
+                              if id(child) in body else
+                              (child, position, func, looping, qual)
+                              for child in children])
+            else:
+                stack.extend([(child, position, func, looping, qual)
+                              for child in children])
+        size = [1] * len(nodes)
+        for position in range(len(nodes) - 1, 0, -1):
+            size[up[position]] += size[position]
+        self.nodes = nodes
+        self._pos = pos
+        self._up = up
+        self._depth = depth
+        self._func_of = func_of
+        self._loop = loop
+        self._by_type = by_type
+        self._end = [position + count
+                     for position, count in enumerate(size)]
 
     def _record_import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -187,7 +295,8 @@ class FileContext:
     # -- lookups -----------------------------------------------------------
 
     def parent(self, node: ast.AST) -> typing.Optional[ast.AST]:
-        return self._parents.get(id(node))
+        parent = self._up[self._pos[id(node)]]
+        return self.nodes[parent] if parent >= 0 else None
 
     def qualname(self, func: FunctionNode) -> str:
         return self._qualnames.get(id(func), func.name)
@@ -201,13 +310,32 @@ class FileContext:
 
     def enclosing_function(self, node: ast.AST
                            ) -> typing.Optional[FunctionNode]:
-        current = self.parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef,
-                                    ast.AsyncFunctionDef)):
-                return current
-            current = self.parent(current)
-        return None
+        return self._func_of[self._pos[id(node)]]
+
+    def descendants(self, node: ast.AST, *types: type
+                    ) -> typing.List[ast.AST]:
+        """The nodes of exactly ``types`` in ``node``'s subtree (``node``
+        included), in :func:`ast.walk` order: breadth-first, which is
+        preorder sorted by depth."""
+        start = self._pos[id(node)]
+        stop = self._end[start]
+        found: typing.List[int] = []
+        for kind in types:
+            positions = self._by_type.get(kind)
+            if positions:
+                found.extend(positions[bisect.bisect_left(positions, start):
+                                       bisect.bisect_left(positions, stop)])
+        if len(types) > 1:
+            found.sort()
+        found.sort(key=self._depth.__getitem__)
+        return [self.nodes[position] for position in found]
+
+    def in_loop(self, func: FunctionNode, node: ast.AST) -> bool:
+        """Does ``node`` re-execute per iteration of a loop of ``func``
+        itself?  Nodes in the body of a nested function never do, nor
+        do ``func``'s own decorators and defaults."""
+        position = self._pos[id(node)]
+        return self._loop[position] and self._func_of[position] is func
 
     def ancestors(self, node: ast.AST) -> typing.Iterator[ast.AST]:
         current = self.parent(node)
@@ -327,9 +455,8 @@ class FileContext:
 
     def _gate_aliases(self, func: FunctionNode) -> typing.Set[str]:
         aliases: typing.Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and \
-                    isinstance(node.value, ast.Call) and \
+        for node in self.descendants(func, ast.Assign):
+            if isinstance(node.value, ast.Call) and \
                     self._is_gate_call(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -354,8 +481,6 @@ class FileContext:
         cached = self._class_gate_cache.get(id(node))
         if cached is not None:
             return cached
-        by_name = {cd.name: cd for cd in ast.walk(self.tree)
-                   if isinstance(cd, ast.ClassDef)}
         gate_assigned: typing.Set[str] = set()
         other_assigned: typing.Set[str] = set()
         seen: typing.Set[str] = set()
@@ -367,8 +492,8 @@ class FileContext:
             seen.add(cls.name)
             self._collect_self_flags(cls, gate_assigned, other_assigned)
             for base in cls.bases:
-                if isinstance(base, ast.Name) and base.id in by_name:
-                    stack.append(by_name[base.id])
+                if isinstance(base, ast.Name) and base.id in self.classes:
+                    stack.append(self.classes[base.id])
         attrs = {"self." + name
                  for name in gate_assigned - other_assigned}
         self._class_gate_cache[id(node)] = attrs
@@ -377,10 +502,8 @@ class FileContext:
     def _collect_self_flags(self, cls: ast.ClassDef,
                             gate_assigned: typing.Set[str],
                             other_assigned: typing.Set[str]) -> None:
-        for sub in ast.walk(cls):
-            if not isinstance(sub, (ast.Assign, ast.AugAssign,
-                                    ast.AnnAssign)):
-                continue
+        for sub in self.descendants(cls, ast.Assign, ast.AugAssign,
+                                    ast.AnnAssign):
             targets = sub.targets if isinstance(sub, ast.Assign) \
                 else [sub.target]
             is_gate = isinstance(sub, ast.Assign) and \
@@ -422,9 +545,8 @@ class FileContext:
                     isinstance(default, ast.Constant) and \
                     default.value is None:
                 recorders.add(arg.arg)
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Assign):
-                continue
+        assigns = self.descendants(func, ast.Assign)
+        for node in assigns:
             value = node.value
             if isinstance(value, ast.IfExp) and \
                     self._gate_test_kind(value.test, aliases) == "pos" \
@@ -437,17 +559,17 @@ class FileContext:
                     if isinstance(target, ast.Name):
                         recorders.add(target.id)
         # `timed = lat is not None` makes `timed` a plain gate alias.
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and \
-                    self._gate_test_kind(node.value, aliases,
-                                         frozenset(recorders)) == "pos":
+        for node in assigns:
+            if self._gate_test_kind(node.value, aliases,
+                                    frozenset(recorders)) == "pos":
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         aliases.add(target.id)
         return frozenset(recorders)
 
     def gated_nodes(self, func: FunctionNode) -> typing.Set[int]:
-        """ids of nodes in ``func`` that only run while obs is enabled."""
+        """Preorder positions of the nodes in ``func`` that only run
+        while obs is enabled."""
         cached = self._gate_cache.get(id(func))
         if cached is not None:
             return cached
@@ -456,8 +578,8 @@ class FileContext:
         gated: typing.Set[int] = set()
 
         def mark(node: ast.AST) -> None:
-            for sub in ast.walk(node):
-                gated.add(id(sub))
+            start = self._pos[id(node)]
+            gated.update(range(start, self._end[start]))
 
         def walk_block(stmts: typing.Sequence[ast.stmt],
                        gated_from_here: bool) -> None:
@@ -500,16 +622,14 @@ class FileContext:
 
         walk_block(func.body, False)
         # Ternaries: `x if _obs.enabled() else y` gates the body branch.
-        for node in ast.walk(func):
-            if isinstance(node, ast.IfExp):
-                kind = self._gate_test_kind(node.test, aliases,
-                                            recorders)
-                if kind == "pos":
-                    mark(node.body)
-                elif kind == "neg":
-                    mark(node.orelse)
+        for node in self.descendants(func, ast.IfExp):
+            kind = self._gate_test_kind(node.test, aliases, recorders)
+            if kind == "pos":
+                mark(node.body)
+            elif kind == "neg":
+                mark(node.orelse)
         self._gate_cache[id(func)] = gated
         return gated
 
     def is_gated(self, func: FunctionNode, node: ast.AST) -> bool:
-        return id(node) in self.gated_nodes(func)
+        return self._pos[id(node)] in self.gated_nodes(func)

@@ -38,9 +38,6 @@ DEFAULT_SELECT = ("attribution", "determinism", "fp32-order", "hot-path",
 
 TABLE = "repro-lint"
 
-#: Default on-disk cache for incremental (``--changed``) runs.
-DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
-
 
 @dataclasses.dataclass
 class LintConfig:
@@ -53,7 +50,6 @@ class LintConfig:
     exclude: typing.List[str] = dataclasses.field(default_factory=list)
     rule_options: typing.Dict[str, typing.Dict[str, object]] = \
         dataclasses.field(default_factory=dict)
-    cache_path: str = DEFAULT_CACHE_PATH
     source: typing.Optional[str] = None   # pyproject path, for reports
 
     def options(self, rule: str) -> typing.Dict[str, object]:
@@ -118,8 +114,6 @@ def config_from_table(table: typing.Dict[str, object],
         config.select = [str(s) for s in table["select"]]
     if "exclude" in table:
         config.exclude = [str(e) for e in table["exclude"]]
-    if "cache-path" in table:
-        config.cache_path = str(table["cache-path"])
     for key, value in table.items():
         if isinstance(value, dict):
             config.rule_options[key] = value

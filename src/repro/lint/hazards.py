@@ -1,17 +1,17 @@
-"""Hot-path hazard scanning, shared by the ``hot-path`` rule and the
-whole-program index.
+"""Hot-path hazard scanning for the whole-program index.
 
 A *hazard* is anything the hot-path discipline forbids outside the
 ``REPRO_OBS`` gate: telemetry calls, wall-clock reads, string building,
 run-log shard writes, latency-recorder calls, and per-iteration
 allocation.  :func:`scan_hazards` returns the **ungated** hazards of one
-function — the ``hot-path`` rule turns them into findings when the
-function is hot, and the program index stores them per function so
-``hot-path-transitive`` can flag a hot caller *reaching* them through
-the call graph without re-parsing the callee's file.
+function; :func:`repro.lint.program.extract_summary` stores them per
+function, once.  The ``hot-path`` rule turns a hot function's own
+hazards into findings, and ``hot-path-transitive`` flags a hot caller
+*reaching* a helper's hazards through the call graph.
 
-Loop semantics are precise about what actually re-executes per
-iteration:
+Loop semantics (the per-iteration flags of
+:class:`repro.lint.astutil.FileContext`) are precise about what
+actually re-executes per iteration:
 
 * ``for``: the target and body — **not** the iterable (evaluated once)
   and **not** the ``else`` clause (runs once, on normal exit);
@@ -21,7 +21,9 @@ iteration:
   per-iteration of the comprehension itself; the first ``for``'s
   iterable is evaluated once;
 * anything inside an *outer* loop is per-iteration regardless of which
-  clause of an inner statement it sits in.
+  clause of an inner statement it sits in;
+* a function defined in a loop: its decorators and defaults run with
+  every ``def``, its body only when called.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ _ALLOC_METHODS = {"copy", "astype", "tolist", "flatten", "ravel"}
 _STRING_BUILDERS = {"print"}
 _WALLCLOCK = {"time", "time_ns", "monotonic", "monotonic_ns",
               "perf_counter", "perf_counter_ns"}
-_COMPREHENSIONS = (ast.ListComp, ast.DictComp, ast.SetComp,
-                   ast.GeneratorExp)
 
 RUNLOG_DEFAULT_METHODS = ("flush", "heartbeat", "maybe_heartbeat")
 # "measure" is deliberately absent: the receiver-mentions-"lat"
@@ -90,67 +90,6 @@ class Hazard:
             return "per-iteration comprehension allocation"
         return f"per-iteration allocation `{self.name}`"
 
-    def to_dict(self) -> typing.Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, object]) -> "Hazard":
-        return cls(kind=str(data["kind"]), subkind=str(data["subkind"]),
-                   name=str(data["name"]), lineno=int(data["lineno"]),
-                   col=int(data["col"]),
-                   end_lineno=(int(data["end_lineno"])
-                               if data.get("end_lineno") is not None
-                               else None),
-                   in_loop=bool(data["in_loop"]))
-
-
-def loop_nodes(func: astutil.FunctionNode) -> typing.Set[int]:
-    """ids of nodes in ``func`` that re-execute per loop iteration.
-
-    See the module docstring for the clause-level semantics; nested
-    function definitions are skipped (they gate themselves).
-    """
-    inside: typing.Set[int] = set()
-
-    def visit(node: ast.AST, in_loop: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                continue
-            if in_loop:
-                inside.add(id(child))
-                visit(child, True)
-            elif isinstance(child, (ast.For, ast.AsyncFor)):
-                _split(child, [child.target] + child.body,
-                       [child.iter] + child.orelse)
-            elif isinstance(child, ast.While):
-                _split(child, [child.test] + child.body, child.orelse)
-            elif isinstance(child, _COMPREHENSIONS):
-                per_iter: typing.List[ast.AST] = []
-                once: typing.List[ast.AST] = []
-                for index, gen in enumerate(child.generators):
-                    per_iter.append(gen.target)
-                    per_iter.extend(gen.ifs)
-                    (once if index == 0 else per_iter).append(gen.iter)
-                if isinstance(child, ast.DictComp):
-                    per_iter.extend([child.key, child.value])
-                else:
-                    per_iter.append(child.elt)
-                _split(child, per_iter, once)
-            else:
-                visit(child, False)
-
-    def _split(parent: ast.AST, per_iter: typing.Sequence[ast.AST],
-               once: typing.Sequence[ast.AST]) -> None:
-        for node in per_iter:
-            inside.add(id(node))
-            visit(node, True)
-        for node in once:
-            visit(node, False)
-
-    visit(func, False)
-    return inside
-
 
 def scan_hazards(ctx: astutil.FileContext, func: astutil.FunctionNode,
                  shard_methods: typing.Optional[typing.Set[str]] = None,
@@ -162,48 +101,46 @@ def scan_hazards(ctx: astutil.FileContext, func: astutil.FunctionNode,
         else set(RUNLOG_DEFAULT_METHODS)
     latency_methods = latency_methods if latency_methods is not None \
         else set(LATENCY_DEFAULT_METHODS)
-    loops = loop_nodes(func)
     hazards: typing.List[Hazard] = []
-    for node in ast.walk(func):
+    for node in ctx.descendants(func, ast.Call, ast.JoinedStr,
+                                *astutil.COMPREHENSIONS):
         if isinstance(node, ast.Call):
-            hazard = _classify_call(ctx, func, node, loops,
-                                    shard_methods, latency_methods)
+            hazard = _classify_call(ctx, func, node, shard_methods,
+                                    latency_methods)
             if hazard is not None:
                 hazards.append(hazard)
         elif isinstance(node, ast.JoinedStr):
             if not ctx.is_gated(func, node) and not ctx.in_raise(node):
-                hazards.append(_hazard("string", "fstring", "f-string",
-                                       node, loops))
-        elif isinstance(node, _COMPREHENSIONS):
-            if not ctx.is_gated(func, node):
-                hazards.append(_hazard("alloc", "comprehension",
-                                       "comprehension", node, loops))
+                hazards.append(_hazard(ctx, func, "string", "fstring",
+                                       "f-string", node))
+        elif not ctx.is_gated(func, node):
+            hazards.append(_hazard(ctx, func, "alloc", "comprehension",
+                                   "comprehension", node))
     hazards.sort(key=lambda h: (h.lineno, h.col, h.kind, h.name))
     return hazards
 
 
-def _hazard(kind: str, subkind: str, name: str, node: ast.AST,
-            loops: typing.Set[int]) -> Hazard:
+def _hazard(ctx: astutil.FileContext, func: astutil.FunctionNode,
+            kind: str, subkind: str, name: str, node: ast.AST) -> Hazard:
     return Hazard(kind=kind, subkind=subkind, name=name,
                   lineno=getattr(node, "lineno", 1),
                   col=getattr(node, "col_offset", 0),
                   end_lineno=getattr(node, "end_lineno", None),
-                  in_loop=id(node) in loops)
+                  in_loop=ctx.in_loop(func, node))
 
 
 def _classify_call(ctx: astutil.FileContext, func: astutil.FunctionNode,
-                   node: ast.Call, loops: typing.Set[int],
-                   shard_methods: typing.Set[str],
+                   node: ast.Call, shard_methods: typing.Set[str],
                    latency_methods: typing.Set[str],
                    ) -> typing.Optional[Hazard]:
     if ctx.is_gated(func, node):
         return None
     lat_name = latency_call_name(ctx, node, latency_methods)
     if lat_name is not None:
-        return _hazard("latency", "call", lat_name, node, loops)
+        return _hazard(ctx, func, "latency", "call", lat_name, node)
     shard_name = runlog_call_name(ctx, node, shard_methods)
     if shard_name is not None:
-        return _hazard("runlog", "call", shard_name, node, loops)
+        return _hazard(ctx, func, "runlog", "call", shard_name, node)
     obs_name = ctx.is_obs_call(node)
     if obs_name is not None:
         terminal = obs_name.split(".")[-1]
@@ -212,31 +149,32 @@ def _classify_call(ctx: astutil.FileContext, func: astutil.FunctionNode,
         if terminal == "span" and \
                 isinstance(ctx.parent(node), ast.withitem):
             return None                      # self-gating `with` context
-        return _hazard("obs", "call", obs_name, node, loops)
+        return _hazard(ctx, func, "obs", "call", obs_name, node)
     name = astutil.dotted(node.func)
     parts = name.split(".") if name else []
     if parts and parts[0] in ctx.time_aliases and len(parts) == 2 \
             and parts[1] in _WALLCLOCK:
-        return _hazard("wallclock", "call", name, node, loops)
+        return _hazard(ctx, func, "wallclock", "call", name, node)
     if not ctx.in_raise(node):
         if name in _STRING_BUILDERS or \
                 (parts and parts[0] in ("logging", "log", "logger")):
-            return _hazard("string", "call", name, node, loops)
+            return _hazard(ctx, func, "string", "call", name, node)
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "format" \
                 and isinstance(node.func.value,
                                (ast.Constant, ast.JoinedStr)):
-            return _hazard("string", "format", "str.format", node, loops)
+            return _hazard(ctx, func, "string", "format", "str.format",
+                           node)
     if len(parts) == 2 and parts[0] in ctx.numpy_aliases \
             and parts[1] in _ALLOC_NP:
-        return _hazard("alloc", "np", name, node, loops)
+        return _hazard(ctx, func, "alloc", "np", name, node)
     if name in _ALLOC_BUILTINS:
-        return _hazard("alloc", "builtin", name, node, loops)
+        return _hazard(ctx, func, "alloc", "builtin", name, node)
     if isinstance(node.func, ast.Attribute) \
             and node.func.attr in _ALLOC_METHODS \
             and not (parts and parts[0] in ctx.numpy_aliases):
-        return _hazard("alloc", "method", "." + node.func.attr,
-                       node, loops)
+        return _hazard(ctx, func, "alloc", "method", "." + node.func.attr,
+                       node)
     return None
 
 

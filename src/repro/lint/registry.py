@@ -33,8 +33,8 @@ class Rule:
     Interprocedural rules set :attr:`requires_program` and override
     :meth:`check_module` instead: they run once per module against the
     whole-program index (:class:`repro.lint.program.ProgramIndex`) and
-    must anchor every finding in *that* module, so incremental runs can
-    cache findings per file.
+    must anchor every finding in *that* module, whose pragmas then
+    decide whether the finding is suppressed.
     """
 
     name: str = ""

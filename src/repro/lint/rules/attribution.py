@@ -52,7 +52,7 @@ class AttributionRule(Rule):
                                                  _DEFAULT_MODULES)):
             return
         for func in ctx.functions():
-            sites = [node for node in ast.walk(func)
+            sites = [node for node in ctx.descendants(func, ast.AugAssign)
                      if self._is_cycle_accumulation(node)]
             if not sites:
                 continue
@@ -68,9 +68,8 @@ class AttributionRule(Rule):
                     "or decompose via fpga_stage_buckets so "
                     "attribution still sums to the total")
 
-    def _is_cycle_accumulation(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.AugAssign) \
-                or not isinstance(node.op, ast.Add):
+    def _is_cycle_accumulation(self, node: ast.AugAssign) -> bool:
+        if not isinstance(node.op, ast.Add):
             return False
         target = node.target
         if not isinstance(target, ast.Attribute):
@@ -82,9 +81,7 @@ class AttributionRule(Rule):
 
     def _routes_to_prof(self, ctx: astutil.FileContext,
                         func: astutil.FunctionNode) -> bool:
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.descendants(func, ast.Call):
             name = astutil.dotted(node.func)
             if name and _BUCKET_API.search(name):
                 return True

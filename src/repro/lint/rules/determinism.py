@@ -56,13 +56,13 @@ class DeterminismRule(Rule):
         cycle_here = path_matches_any(
             ctx.relpath, self.list_option("cycle-modules",
                                           _DEFAULT_CYCLE_MODULES))
-        for node in ast.walk(ctx.tree):
+        for node in ctx.descendants(ctx.tree, ast.Call, ast.For,
+                                    ast.comprehension):
             if isinstance(node, ast.Call):
                 yield from self._check_rng(ctx, node)
                 if wallclock_here:
                     yield from self._check_wallclock(ctx, node)
-            elif isinstance(node, (ast.For, ast.comprehension)) \
-                    and cycle_here:
+            elif cycle_here:
                 yield from self._check_set_iteration(ctx, node)
 
     def _check_rng(self, ctx: astutil.FileContext, node: ast.Call):

@@ -72,9 +72,8 @@ class Fp32OrderRule(Rule):
                                 self.list_option("modules",
                                                  _DEFAULT_MODULES)):
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
+        for node in ctx.descendants(ctx.tree, ast.Call):
+            yield from self._check_call(ctx, node)
 
     def _check_call(self, ctx: astutil.FileContext, node: ast.Call):
         # dotted() is None for calls on computed receivers like

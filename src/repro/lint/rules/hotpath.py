@@ -45,14 +45,15 @@ local ``observing = _obs.enabled()`` alias, or the early-return guard
   None`` then ``if lat is not None: lat.add_ns(...)`` — the gate
   analysis treats the ``is not None`` check as REPRO_OBS-gated.
 
-The per-function scan itself lives in :mod:`repro.lint.hazards`, shared
-with the whole-program index so ``hot-path-transitive`` applies exactly
-the same discipline through the call graph.
+The per-function scan lives in :mod:`repro.lint.hazards` and runs once
+per function, into the whole-program summary; ``hot-path-transitive``
+applies the same discipline through the call graph from the same data.
 """
 
 from __future__ import annotations
 
-from repro.lint import astutil, hazards
+from repro.lint import hazards
+from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 
@@ -106,29 +107,25 @@ def hazard_finding_message(hazard: hazards.Hazard, label: str) -> str:
 
 @register
 class HotPathRule(Rule):
+    """The depth-0 case of ``hot-path-transitive``: both read the
+    hazards :func:`repro.lint.program.extract_summary` stores per
+    function; this rule reports a hot function's own."""
+
     name = "hot-path"
     description = ("telemetry, string building, wall-clock reads, "
                    "runlog shard writes, and per-iteration allocation "
                    "in @hot_path functions must be behind the "
                    "REPRO_OBS gate")
+    requires_program = True
 
-    def __init__(self, options=None):
-        super().__init__(options)
-        self._shard_methods = set(self.list_option(
-            "runlog-methods", hazards.RUNLOG_DEFAULT_METHODS))
-        self._latency_methods = set(self.list_option(
-            "latency-methods", hazards.LATENCY_DEFAULT_METHODS))
-
-    def check(self, ctx: astutil.FileContext):
-        for func in ctx.hot_function_nodes:
-            label = ctx.qualname(func)
-            for hazard in hazards.scan_hazards(ctx, func,
-                                               self._shard_methods,
-                                               self._latency_methods):
+    def check_module(self, program, summary):
+        for func in summary.hot_functions:
+            for hazard in func.hazards:
                 if hazard.kind == "alloc" and not hazard.in_loop:
                     continue       # one-off allocation is fine in a leaf
-                yield astutil.Finding(
-                    rule=self.name, path=ctx.relpath,
+                yield Finding(
+                    rule=self.name, path=summary.path,
                     line=hazard.lineno, col=hazard.col,
                     end_line=hazard.end_lineno,
-                    message=hazard_finding_message(hazard, label))
+                    message=hazard_finding_message(hazard,
+                                                   func.qualname))

@@ -10,7 +10,7 @@ replays stop lining up across backends.
 
 Three findings, all driven by the whole-program index
 (:mod:`repro.lint.program` extracts the seed sites per file, so they
-cache and resolve across modules):
+resolve across modules):
 
 * **ad-hoc argument** — seed arithmetic written inline in the argument
   of a seeding call (``env.seed(...)``, ``np.random.default_rng(...)``,

@@ -63,7 +63,7 @@ class SeqlockRule(Rule):
     # -- reader side -------------------------------------------------------
 
     def _check_reader_side(self, ctx: astutil.FileContext):
-        for node in ast.walk(ctx.tree):
+        for node in ctx.descendants(ctx.tree, ast.Call, ast.Attribute):
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute):
                 method = node.func.attr
@@ -96,7 +96,7 @@ class SeqlockRule(Rule):
 
     def _check_writer_side(self, ctx: astutil.FileContext):
         for func in ctx.functions():
-            writes = list(self._shared_writes(func))
+            writes = list(self._shared_writes(ctx, func))
             if not writes:
                 continue
             for node, what in writes:
@@ -108,9 +108,11 @@ class SeqlockRule(Rule):
                         f"{ctx.qualname(func)}()); a concurrent reader "
                         "can see a torn write")
 
-    def _shared_writes(self, func: astutil.FunctionNode
+    def _shared_writes(self, ctx: astutil.FileContext,
+                       func: astutil.FunctionNode
                        ) -> typing.Iterator[typing.Tuple[ast.AST, str]]:
-        for node in ast.walk(func):
+        for node in ctx.descendants(func, ast.Assign, ast.AugAssign,
+                                    ast.Call):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
@@ -120,7 +122,7 @@ class SeqlockRule(Rule):
                         yield node, f"write to {word}.value"
                     elif self._is_raw_view_write(target):
                         yield node, "write into a shared raw view"
-            elif isinstance(node, ast.Call):
+            else:
                 name = astutil.dotted(node.func)
                 if name and name.split(".")[-1] == "copyto" \
                         and node.args \
@@ -167,9 +169,7 @@ class SeqlockRule(Rule):
         helpers = set(self.list_option("acquire-helpers",
                                        _DEFAULT_ACQUIRE_HELPERS))
         line = getattr(node, "lineno", 0)
-        for other in ast.walk(func):
-            if not isinstance(other, ast.Call):
-                continue
+        for other in ctx.descendants(func, ast.Call):
             if getattr(other, "lineno", line + 1) >= line:
                 continue
             name = astutil.dotted(other.func) or ""

@@ -22,3 +22,17 @@ def leaf(values):
         total += scratch[0] + len(extras) + len(squares) + copied
     print(total)                                   # EXPECT: hot-path
     return started, label, total
+
+
+class Gauge:
+    """A hot property getter keeps its findings though the setter's
+    ``def`` reuses its name."""
+
+    @property
+    @hot_path
+    def level(self):
+        return f"{self._level}"                    # EXPECT: hot-path
+
+    @level.setter
+    def level(self, value):
+        self._level = value

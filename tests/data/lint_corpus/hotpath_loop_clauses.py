@@ -4,6 +4,8 @@
 A ``for`` iterable is evaluated once; ``else`` clauses run once on
 normal exit; a ``while`` test re-evaluates every iteration; and an
 outer loop makes everything inside per-iteration regardless of clause.
+A function defined in a loop body is not: its body runs when called,
+though its defaults run with every ``def``.
 """
 import numpy as np
 
@@ -50,3 +52,13 @@ def outer_loop_poisons_inner_iterable(rows):
         for value in np.zeros(3):                  # EXPECT: hot-path
             total += value + row
     return total
+
+
+@hot_path
+def closures_defined_per_iteration(sizes):
+    makers = []
+    for size in sizes:
+        def make(scratch=np.ones(size)):           # EXPECT: hot-path
+            return np.zeros(size) + scratch
+        makers.append(make)
+    return makers

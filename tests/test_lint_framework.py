@@ -224,7 +224,7 @@ class TestReporters:
 
     def test_json_report_schema(self):
         document = json.loads(render_json(self.run_on_violating()))
-        assert document["version"] == 2
+        assert document["version"] == 3
         assert document["files_checked"] == 1
         assert document["counts"] == {"determinism": 1}
         finding = document["findings"][0]
@@ -300,7 +300,7 @@ class TestCLI:
         code = main(self.lint_args(str(SEEDED), "--format", "json"))
         assert code == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["version"] == 2
+        assert document["version"] == 3
         assert document["counts"]["determinism"] >= 1
         assert "suppressed_by_rule" in document
         assert "timing_ms" in document

@@ -3,6 +3,7 @@ critical-path extraction, the latency report tables, and the latency
 bench gate."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -217,12 +218,29 @@ class TestTrainerInvariant:
         assert {"param_sync", "infer", "batch_form",
                 "train"} <= segments
 
-    def test_a3c_breakout_names_env_stepping(self):
-        """Env stepping is its own segment, so little is left unnamed."""
+    def test_a3c_breakout_names_env_stepping(self, monkeypatch):
+        """Env stepping is its own segment, so little is left unnamed.
+
+        A test clock that advances only inside the env's ``step`` makes
+        the shares independent of host load: all measured time is env
+        stepping, and it must land in ``env_step``, not ``other``."""
+        clock = [0]
+        monkeypatch.setattr(time, "perf_counter_ns", lambda: clock[0])
+
+        def make_env(agent_id):
+            env = make_atari_env(make_game("breakout"))
+            step = env.step
+
+            def timed_step(action):
+                clock[0] += 1_000_000
+                return step(action)
+
+            env.step = timed_step
+            return env
+
         actions = make_game("breakout").action_space.n
         with obs.enabled_scope():
-            A3CTrainer(lambda i: make_atari_env(make_game("breakout")),
-                       lambda: A3CNetwork(actions),
+            A3CTrainer(make_env, lambda: A3CNetwork(actions),
                        self._config(t_max=5, max_steps=80)).train(
                            actors="serial")
             rows = self._validate_live()
